@@ -16,12 +16,10 @@ import os
 import signal
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import yaml
-
-from . import client, harness, names
+from . import names
 from .canonical import canonical_json
-from .client import AgentIdentity, RegistryClient, bootstrap_identity
 from .errors import (
     AnsError,
     BAD_SIGNATURE,
@@ -46,6 +44,9 @@ from .identity import (
 from .manifest import parse_duration, validate_admission
 from .policy import load_policies
 from .server import AnsServer, ServerConfig, load_anchors
+
+if TYPE_CHECKING:
+    from .client import AgentIdentity
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,6 +84,8 @@ def _load_json(path: str):
 
 def _load_manifest_doc(path: str):
     """Manifests arrive as YAML-shaped documents or plain canonical text."""
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
@@ -104,13 +107,15 @@ def save_identity(path: str, identity: AgentIdentity, namespace: str | None = No
 
 
 def load_identity(path: str) -> tuple[AgentIdentity, str | None]:
+    from .client import AgentIdentity, CapabilitySecret
+
     doc = _load_json(path)
     name = names.parse(doc["name"])
     identity_keys = KeyPair.generate(bytes.fromhex(doc["identity_seed"]))
     capabilities = {}
     for label, seed_hex in doc["capabilities"].items():
         keys = KeyPair.generate(bytes.fromhex(seed_hex))
-        capabilities[label] = client.CapabilitySecret(label, keys)
+        capabilities[label] = CapabilitySecret(label, keys)
     identity = AgentIdentity(
         name=name,
         identity_keys=identity_keys,
@@ -175,6 +180,8 @@ def _load_ca(keys_dir: str) -> tuple[KeyPair, Certificate, Certificate]:
 
 
 def cmd_cert_issue(args) -> int:
+    from .client import bootstrap_identity
+
     name = names.parse(args.name)
     inter_keys, inter_cert, root_cert = _load_ca(args.keys)
     identity = bootstrap_identity(
@@ -197,6 +204,8 @@ def cmd_cert_issue(args) -> int:
 
 
 def cmd_register(args) -> int:
+    from . import client
+
     identity, stored_namespace = load_identity(args.identity)
     namespace = args.namespace or stored_namespace
     if not namespace:
@@ -209,6 +218,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import client
+
     version_req = names.VersionRequirement.parse(args.version) if args.version else None
     query = names.NameQuery(
         protocol=args.protocol,
@@ -231,6 +242,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_attest(args) -> int:
+    from . import client
+
     identity, _ = load_identity(args.identity)
     result = client.attest_with(identity, args.registry, args.capability)
     _emit(args, f"granted: {args.capability} for {identity.name}", result)
@@ -252,6 +265,8 @@ def cmd_policy_test(args) -> int:
 def cmd_admission_validate(args) -> int:
     doc = _load_manifest_doc(args.manifest)
     if args.registry:
+        from .client import RegistryClient
+
         registry_client = RegistryClient(args.registry)
         try:
             result_doc = registry_client.post("/v1/admission/validate", doc)
@@ -307,6 +322,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import harness
+
     config = harness.BenchConfig(
         n_agents=args.agents,
         n_namespaces=args.namespaces,
@@ -330,6 +347,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import harness
+
     config = harness.BenchConfig(
         n_agents=args.agents, n_namespaces=args.namespaces, seed=args.seed,
     )

@@ -142,8 +142,20 @@ class Certificate:
         return doc
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "Certificate":
-        subject_name = doc.get("subject_name")
+    def from_doc(
+        cls,
+        doc: dict,
+        subject_name: names.AnsName | None = None,
+        commitments: tuple[CapabilityCommitment, ...] | None = None,
+    ) -> "Certificate":
+        """Decode a certificate document.
+
+        ``subject_name`` and ``commitments``, when given, must be the decoded
+        form of the document's own ``subject_name`` text and
+        ``capability_commitments`` list; they are used as they are instead of
+        being decoded a second time.
+        """
+        name_text = doc.get("subject_name")
         return cls(
             serial=int(doc["serial"]),
             subject_did=doc["subject_did"],
@@ -152,10 +164,13 @@ class Certificate:
             not_before=int(doc["not_before"]),
             not_after=int(doc["not_after"]),
             role=doc["role"],
-            capability_commitments=tuple(
+            capability_commitments=commitments if commitments is not None else tuple(
                 CapabilityCommitment.from_doc(c) for c in doc.get("capability_commitments", [])
             ),
-            subject_name=names.parse(subject_name) if subject_name is not None else None,
+            subject_name=(
+                subject_name if subject_name is not None
+                else names.parse(name_text) if name_text is not None else None
+            ),
             signature=bytes.fromhex(doc["signature"]),
         )
 
@@ -177,13 +192,14 @@ class CertificateChain:
         return [self.agent.to_doc(), self.intermediate.to_doc(), self.root.to_doc()]
 
     @classmethod
-    def from_doc(cls, doc: list) -> "CertificateChain":
+    def from_doc(cls, doc: list, certificate=Certificate.from_doc) -> "CertificateChain":
+        """Decode a chain; ``certificate`` decodes each of its three documents."""
         if not isinstance(doc, list) or len(doc) != 3:
             raise AnsError(CHAIN_INVALID, "chain must be a 3-element array")
         return cls(
-            agent=Certificate.from_doc(doc[0]),
-            intermediate=Certificate.from_doc(doc[1]),
-            root=Certificate.from_doc(doc[2]),
+            agent=certificate(doc[0]),
+            intermediate=certificate(doc[1]),
+            root=certificate(doc[2]),
         )
 
 

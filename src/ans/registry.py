@@ -13,9 +13,12 @@ a consistent post-event state.
 from __future__ import annotations
 
 import functools
+import json
 import os
+import sys
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from . import names
@@ -33,6 +36,7 @@ from .errors import (
 )
 from .identity import (
     CapabilityCommitment,
+    Certificate,
     CertificateChain,
     validate_chain,
     verify_signature,
@@ -86,12 +90,59 @@ class AgentRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AgentRecord":
-        return cls(
-            name=names.parse(doc["name"]),
+        return RecordDecoder().record(doc)
+
+
+class RecordDecoder:
+    """Decodes record documents, decoding what records share only once.
+
+    Its table maps each distinct certificate document to one ``Certificate``.
+    Documents are bucketed by their signature text and matched by full
+    equality with the document of a certificate already decoded, re-encoded
+    on a hit so the table holds no documents. Records whose chains share an
+    intermediate and a root therefore hold the same two objects, while a
+    document that differs in any field, even under the same signature,
+    decodes on its own. Within a record, the agent certificate reuses the
+    record's parsed name and decoded commitments when its own text for them
+    is the same. The table lives as long as the decoder.
+    """
+
+    def __init__(self) -> None:
+        self._certificates: dict[str, list[Certificate]] = {}
+
+    def _certificate(
+        self,
+        doc: dict,
+        subject_name: AnsName | None,
+        commitments: tuple[CapabilityCommitment, ...] | None,
+    ) -> Certificate:
+        bucket = self._certificates.setdefault(doc["signature"], [])
+        for cert in bucket:
+            if cert.to_doc() == doc:
+                return cert
+        cert = Certificate.from_doc(doc, subject_name, commitments)
+        bucket.append(cert)
+        return cert
+
+    def record(self, doc: dict) -> AgentRecord:
+        name_text = doc["name"]
+        name = names.parse(name_text)
+        commitment_docs = doc["commitments"]
+        commitments = tuple(CapabilityCommitment.from_doc(c) for c in commitment_docs)
+
+        def certificate(cert_doc: dict) -> Certificate:
+            return self._certificate(
+                cert_doc,
+                name if cert_doc.get("subject_name") == name_text else None,
+                commitments if cert_doc.get("capability_commitments") == commitment_docs else None,
+            )
+
+        return AgentRecord(
+            name=name,
             did=doc["did"],
             endpoint=doc["endpoint"],
-            chain=CertificateChain.from_doc(doc["chain"]),
-            commitments=tuple(CapabilityCommitment.from_doc(c) for c in doc["commitments"]),
+            chain=CertificateChain.from_doc(doc["chain"], certificate),
+            commitments=commitments,
             namespace=doc["namespace"],
             registered_at=int(doc["registered_at"]),
             expires_at=int(doc["expires_at"]),
@@ -168,7 +219,34 @@ class EventLog:
     def __init__(self, path: str, fsync: bool = True):
         self.path = path
         self.fsync = fsync
+        self._drop_torn_tail()
         self._fh = open(path, "a", encoding="utf-8")
+
+    def _drop_torn_tail(self) -> None:
+        """Cut an unterminated final line off the log before appending to it.
+
+        Every append writes a whole line ending in a newline, so a final line
+        without one is an append torn by a crash, never acknowledged; left in
+        place, the next append would be glued onto it.
+        """
+        with open(self.path, "a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            keep, end = 0, size
+            while end > 0:
+                start = max(0, end - 65536)
+                fh.seek(start)
+                newline = fh.read(end - start).rfind(b"\n")
+                if newline >= 0:
+                    keep = start + newline + 1
+                    break
+                end = start
+            if keep == size:
+                return
+            fh.truncate(keep)
+            if self.fsync:
+                os.fsync(fh.fileno())
+        print(f"event log {self.path}: dropped a torn final line of {size - keep} bytes "
+              f"at offset {keep}", file=sys.stderr)
 
     def append(self, event: RegistryEvent) -> None:
         self._fh.write(canonical_json(event.to_doc()) + "\n")
@@ -180,19 +258,22 @@ class EventLog:
         self._fh.close()
 
     @staticmethod
-    def read_events(path: str, after_seq: int = 0) -> list[RegistryEvent]:
-        """Read events with seq > after_seq, enforcing dense ordering.
+    def read_events(path: str, after_seq: int = 0) -> Iterator[RegistryEvent]:
+        """Yield events with seq > after_seq as they are read, enforcing dense
+        ordering.
 
-        LOG_CORRUPT carries the last good sequence number in its details so an
-        operator knows where replay halted.
+        A final line with no newline is a torn append, not an event: it is not
+        yielded, and opening an ``EventLog`` on the file cuts it off. Every
+        other line must parse. LOG_CORRUPT carries the last good sequence
+        number and the line number in its details so an operator knows where
+        replay halted.
         """
-        import json
-
-        events: list[RegistryEvent] = []
         expected = after_seq + 1
         last_good = after_seq
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    return
                 line = line.strip()
                 if not line:
                     continue
@@ -212,10 +293,9 @@ class EventLog:
                         f"sequence gap at line {lineno}: expected {expected}, got {event.seq}",
                         details={"last_good_seq": last_good, "line": lineno},
                     )
-                events.append(event)
+                yield event
                 last_good = event.seq
                 expected += 1
-        return events
 
 
 class Registry:
@@ -527,9 +607,9 @@ class Registry:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    def _apply_event(self, event: RegistryEvent) -> None:
+    def _apply_event(self, event: RegistryEvent, decoder: RecordDecoder) -> None:
         if event.kind == EVENT_REGISTERED:
-            record = AgentRecord.from_doc(event.payload["record"])
+            record = decoder.record(event.payload["record"])
             key = record.name.render()
             existing = self._records.get(key)
             if existing is not None:
@@ -561,11 +641,18 @@ class Registry:
         observe=None,
     ) -> "Registry":
         """Rebuild state from snapshot plus event-log suffix, then reopen the
-        log for appends. Raises LOG_CORRUPT on gaps or parse failures."""
-        import json
+        log for appends. Raises LOG_CORRUPT on gaps or parse failures.
 
+        Each event is applied as it is read. The snapshot and the log share
+        one ``RecordDecoder``, whose table decodes each distinct certificate
+        document once. Recovery trusts the log and verifies no signatures. A
+        torn final line (no newline) is skipped, then cut off the file when
+        the log is reopened for appends, so recovery yields the state of the
+        last whole event.
+        """
         registry = cls(policies=policies, trust_anchors=trust_anchors,
                        record_ttl_seconds=record_ttl_seconds, log=None, observe=observe)
+        decoder = RecordDecoder()
         if snapshot_path is not None and os.path.exists(snapshot_path):
             with open(snapshot_path, "r", encoding="utf-8") as fh:
                 try:
@@ -574,13 +661,13 @@ class Registry:
                     raise AnsError(LOG_CORRUPT, f"snapshot unreadable: {exc}")
             registry.last_seq = int(doc["last_seq"])
             for record_doc in doc["records"]:
-                record = AgentRecord.from_doc(record_doc)
+                record = decoder.record(record_doc)
                 registry._records[record.name.render()] = record
                 if record.status == STATUS_ACTIVE:
                     registry._index_add(record)
         if log_path is not None and os.path.exists(log_path):
             for event in EventLog.read_events(log_path, after_seq=registry.last_seq):
-                registry._apply_event(event)
+                registry._apply_event(event, decoder)
         if log_path is not None:
             registry._log = EventLog(log_path, fsync=fsync)
         return registry

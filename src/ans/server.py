@@ -65,6 +65,9 @@ STATUS_BY_CODE = {
     codes.INTERNAL: 500,
 }
 
+# Largest request body read; a registration or a manifest is a few KiB.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -340,8 +343,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()) or int(length) > MAX_BODY_BYTES:
+            # The body's extent is unknown or refused, so the connection
+            # cannot be reused after the reply.
+            self.close_connection = True
+            raise AnsError(codes.MALFORMED,
+                           f"Content-Length must be a byte count of at most {MAX_BODY_BYTES}")
+        raw = self.rfile.read(int(length))
         if not raw:
             raise AnsError(codes.MALFORMED, "empty request body")
         try:
@@ -349,21 +358,20 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:
             raise AnsError(codes.MALFORMED, f"body is not valid JSON: {exc}")
 
-    def _send_json(self, status: int, payload) -> None:
-        data = canonical_json(payload).encode("utf-8")
+    def _send(self, status: int, content_type: str, data: bytes) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
+    def _send_json(self, status: int, payload) -> None:
+        self._send(status, "application/json", canonical_json(payload).encode("utf-8"))
+
     def _send_text(self, status: int, text: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        self._send(status, "text/plain; charset=utf-8", text.encode("utf-8"))
 
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)

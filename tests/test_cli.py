@@ -170,6 +170,17 @@ def test_json_output_round_trips_through_server_parsers(workdir, cli_server, cap
         assert record.to_doc() == doc
 
 
+def test_cli_import_loads_no_client_harness_or_yaml():
+    # `ansctl serve` should load only serving code: each module costs start-up time.
+    code = ("import sys, ans.cli\n"
+            "print(sorted(m for m in ('ans.harness', 'ans.client', 'yaml') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    assert out.stdout.strip() == "[]"
+    from ans.cli import load_identity, save_identity  # noqa: F401 - perfbench imports these
+
+
 def test_serve_subprocess_sigterm_snapshot(workdir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 
@@ -7,10 +8,12 @@ from ans import names
 from ans.canonical import canonical_bytes, canonical_json
 from ans.client import build_registration_request
 from ans.errors import AnsError
-from ans.identity import KeyPair
+from ans.identity import AGENT_VALIDITY_S, ROLE_AGENT, Certificate, KeyPair, issue_certificate
 from ans.names import NameQuery, Version, VersionRequirement, matches
 from ans.policy import EvaluationContext, PHASE_RUNTIME, evaluate
 from ans.registry import (
+    EventLog,
+    RecordDecoder,
     Registry,
     RegistrationRequest,
     renewal_payload,
@@ -394,6 +397,44 @@ def _sweep_answers(registry, now):
     return canonical_json([[r.to_doc() for r in registry.resolve(q, now)] for q in battery])
 
 
+def _rotated(ca, identity, now):
+    """The same agent and identity key under a freshly issued certificate."""
+    cert = issue_certificate(
+        ca.intermediate_keys, ca.intermediate_cert, identity.identity_keys.public_key,
+        ROLE_AGENT, AGENT_VALIDITY_S, subject_name=identity.name,
+        commitments=identity.commitments(), now=now,
+    )
+    return dataclasses.replace(identity, chain=dataclasses.replace(identity.chain, agent=cert))
+
+
+def _random_step(registry, ca, rng, identities, now):
+    """One random register, certificate-rotation re-register, renew or revoke."""
+    action = rng.random()
+    if action < 0.6 or not identities:
+        i = rng.randrange(40)
+        name = make_name(i, capability=f"cap-{i % 6}")
+        key = name.render()
+        if key in identities:
+            identities[key] = _rotated(ca, identities[key], now)
+            registry.register(build_registration_request(identities[key], "ns-0"), now)
+        else:
+            identity, _ = register(registry, ca, name, now=now)
+            identities[key] = identity
+    elif action < 0.8:
+        key = rng.choice(sorted(identities))
+        sig = identities[key].identity_keys.sign(
+            canonical_bytes(renewal_payload(key, now)))
+        try:
+            registry.renew(key, now, sig, now)
+        except AnsError as exc:
+            assert exc.code == "REVOKED"
+    else:
+        key = rng.choice(sorted(identities))
+        sig = identities[key].identity_keys.sign(
+            canonical_bytes(revocation_payload(key, now)))
+        registry.revoke(key, now, sig, now)
+
+
 def test_recovery_observational_equivalence_random_sequences(tmp_path, allow_policies, ca):
     rng = random.Random(47)
     for case in range(15):
@@ -404,34 +445,147 @@ def test_recovery_observational_equivalence_random_sequences(tmp_path, allow_pol
         now = NOW
         for _ in range(rng.randrange(5, 25)):
             now += rng.randrange(0, 30)
-            action = rng.random()
-            if action < 0.6 or not identities:
-                i = rng.randrange(40)
-                name = make_name(i, capability=f"cap-{i % 6}")
-                key = name.render()
-                if key in identities:
-                    continue
-                identity, _ = register(registry, ca, name, now=now)
-                identities[key] = identity
-            elif action < 0.8:
-                key = rng.choice(sorted(identities))
-                sig = identities[key].identity_keys.sign(
-                    canonical_bytes(renewal_payload(key, now)))
-                try:
-                    registry.renew(key, now, sig, now)
-                except AnsError as exc:
-                    assert exc.code == "REVOKED"
-            else:
-                key = rng.choice(sorted(identities))
-                sig = identities[key].identity_keys.sign(
-                    canonical_bytes(revocation_payload(key, now)))
-                registry.revoke(key, now, sig, now)
+            _random_step(registry, ca, rng, identities, now)
         live = _sweep_answers(registry, now)
         registry.close()
         recovered = Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
                                      log_path=log_path, fsync=False)
         assert _sweep_answers(recovered, now) == live
         assert recovered.audit_index()
+
+
+def test_snapshot_plus_suffix_matches_full_log(tmp_path, allow_policies, ca):
+    rng = random.Random(53)
+    for case in range(8):
+        log_path = str(tmp_path / f"events-{case}.log")
+        snap_path = str(tmp_path / f"snapshot-{case}.json")
+        registry = Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                                    log_path=log_path, fsync=False)
+        identities = {}
+        now = NOW
+        steps = rng.randrange(10, 30)
+        cut = rng.randrange(steps)
+        for step in range(steps):
+            now += rng.randrange(0, 30)
+            _random_step(registry, ca, rng, identities, now)
+            if step == cut:
+                registry.write_snapshot(snap_path)
+        registry.close()
+        full = Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                                log_path=log_path, fsync=False)
+        full.close()
+        resumed = Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                                   log_path=log_path, snapshot_path=snap_path, fsync=False)
+        resumed.close()
+        assert resumed.last_seq == full.last_seq == registry.last_seq
+        assert ({r.name.render(): r for r in resumed.all_records()}
+                == {r.name.render(): r for r in full.all_records()})
+        assert _sweep_answers(resumed, now) == _sweep_answers(full, now)
+        assert resumed.audit_index()
+
+
+def _state(registry):
+    docs = sorted((r.to_doc() for r in registry.all_records()), key=lambda d: d["name"])
+    return registry.last_seq, canonical_json(docs)
+
+
+def test_torn_final_append_recovers_prefix_at_every_byte(tmp_path, allow_policies, ca, capsys):
+    def request(i):
+        identity = make_identity(ca, make_name(i, capability=f"cap-{i}"), extra_caps=())
+        return build_registration_request(identity, "ns-0")
+
+    first, last, after = request(0), request(1), request(2)
+    # Reference logs: the prefix plus the append that gets torn, and the
+    # prefix plus the append made after recovering from the tear.
+    expected = {}
+    for label, requests in (("torn", (first, last)), ("repaired", (first, after))):
+        registry = _file_registry(tmp_path, allow_policies, ca, name=f"{label}.log")
+        for req in requests:
+            registry.register(req, NOW)
+        registry.close()
+        expected[label] = (tmp_path / f"{label}.log").read_bytes()
+    prefix = expected["torn"][:expected["torn"].index(b"\n") + 1]
+    assert expected["repaired"].startswith(prefix)
+    prefix_registry = _file_registry(tmp_path, allow_policies, ca, name="prefix.log")
+    prefix_registry.register(first, NOW)
+    prefix_state = _state(prefix_registry)
+    prefix_registry.close()
+    repaired_state = _state(_file_registry(tmp_path, allow_policies, ca, name="repaired.log"))
+
+    log_path = tmp_path / "events.log"
+    for cut in range(len(prefix), len(expected["torn"])):
+        log_path.write_bytes(expected["torn"][:cut])
+        capsys.readouterr()
+        registry = _file_registry(tmp_path, allow_policies, ca)
+        assert _state(registry) == prefix_state, cut
+        err = capsys.readouterr().err
+        if cut > len(prefix):
+            assert f"at offset {len(prefix)}" in err, (cut, err)
+        else:
+            assert err == ""
+        registry.register(after, NOW)
+        registry.close()
+        assert log_path.read_bytes() == expected["repaired"], cut
+        recovered = _file_registry(tmp_path, allow_policies, ca)
+        assert _state(recovered) == repaired_state, cut
+        recovered.close()
+
+
+def test_torn_tail_is_not_read_as_an_event(tmp_path, allow_policies, ca):
+    log_path = tmp_path / "events.log"
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    register(registry, ca, make_name(0))
+    registry.close()
+    whole = log_path.read_bytes()
+    torn = whole.rstrip(b"\n").replace(b'"seq":1', b'"seq":2')  # complete, unterminated
+    with open(log_path, "ab") as fh:
+        fh.write(torn)
+    assert [e.seq for e in EventLog.read_events(str(log_path))] == [1]
+    assert log_path.read_bytes() == whole + torn  # reading alone never cuts the file
+
+
+# -- decode once -------------------------------------------------------------------
+
+
+def _record_docs(registry, ca, count):
+    return [register(registry, ca, make_name(i))[1].to_doc() for i in range(count)]
+
+
+def test_recovered_records_share_issuer_certificates(tmp_path, allow_policies, ca):
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    _record_docs(registry, ca, 4)
+    registry.close()
+    records = _file_registry(tmp_path, allow_policies, ca).all_records()
+    assert len(records) == 4
+    for record in records:
+        assert record.chain.intermediate is records[0].chain.intermediate
+        assert record.chain.root is records[0].chain.root
+        assert record.chain.agent.subject_name is record.name
+        assert record.chain.agent.capability_commitments is record.commitments
+
+
+def test_decoder_decodes_differing_documents_separately(registry, ca):
+    docs = _record_docs(registry, ca, 3)
+    decoder = RecordDecoder()
+    shared = decoder.record(docs[0]).chain
+
+    tampered = copy.deepcopy(docs[1])
+    tampered["chain"][1]["serial"] += 1  # same signature text, different document
+    record = decoder.record(tampered)
+    assert record.chain.intermediate is not shared.intermediate
+    assert record.chain.intermediate == Certificate.from_doc(tampered["chain"][1])
+    assert record.chain.root is shared.root
+
+    renamed = copy.deepcopy(docs[2])
+    other = make_name(99).render()
+    renamed["chain"][0]["subject_name"] = other
+    renamed["chain"][0]["capability_commitments"] = renamed["commitments"][:1]
+    record = decoder.record(renamed)
+    assert record.chain.agent.subject_name == names.parse(other) != record.name
+    assert record.chain.agent.capability_commitments == record.commitments[:1]
+    assert record.chain.agent == Certificate.from_doc(renamed["chain"][0])
+
+    assert decoder.record(docs[0]) == RecordDecoder().record(docs[0])
 
 
 def test_record_doc_roundtrip(registry, ca):

@@ -1,3 +1,4 @@
+import http.client
 import json
 import time
 import urllib.parse
@@ -133,6 +134,24 @@ def test_register_malformed_body_400(server):
 
 
 # -- resolve ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "99999999999"])
+def test_bad_content_length_400_before_reading_body(server, length):
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=1)
+    try:
+        conn.putrequest("POST", "/v1/agents")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b"{}")
+        response = conn.getresponse()
+        doc = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 400
+    assert doc["error"] == "MALFORMED"
+    assert "invalid literal" not in doc["message"]
 
 
 def test_resolve_by_capability(server, rc, ca):
