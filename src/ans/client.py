@@ -61,6 +61,7 @@ from .identity import (
 from .names import AnsName, NameQuery
 from .registry import (
     AgentRecord,
+    RecordDecoder,
     RegistrationRequest,
     renewal_payload,
     revocation_payload,
@@ -273,8 +274,8 @@ def discover(registry_url: str, query: NameQuery,
         path = "/v1/resolve"
         if params:
             path += "?" + urllib.parse.urlencode(params)
-        docs = own.get(path)
-        return [AgentRecord.from_doc(d) for d in docs]
+        decoder = RecordDecoder()  # records in one reply share issuers
+        return [decoder.record(d) for d in own.get(path)]
     finally:
         if client is None:
             own.close()

@@ -49,6 +49,9 @@ DEFAULT_RECORD_TTL_S = 24 * 3600
 # clock, bounding replay of captured control messages.
 CONTROL_TS_WINDOW_S = 300
 
+# Name fields with a posting list; ``AnsName`` and ``NameQuery`` share them.
+INDEXED_FIELDS = ("protocol", "agent_id", "capability", "provider", "extension")
+
 STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
 
@@ -71,9 +74,15 @@ class AgentRecord:
 
     @functools.cached_property
     def doc(self) -> dict:
-        """Serialized form, cached: records are immutable and resolution
-        re-serializes the same records on every hit."""
+        """Serialized form, cached: records are immutable."""
         return self.to_doc()
+
+    @functools.cached_property
+    def doc_bytes(self) -> bytes:
+        """Canonical bytes of the serialized form, cached: a resolve reply is
+        a join of these, so each record is encoded once however often it is
+        served."""
+        return canonical_bytes(self.to_doc())
 
     def to_doc(self) -> dict:
         return {
@@ -260,7 +269,14 @@ class EventLog:
     @staticmethod
     def read_events(path: str, after_seq: int = 0) -> Iterator[RegistryEvent]:
         """Yield events with seq > after_seq as they are read, enforcing dense
-        ordering.
+        ordering (see ``read_numbered``)."""
+        for _, event in EventLog.read_numbered(path, after_seq):
+            yield event
+
+    @staticmethod
+    def read_numbered(path: str, after_seq: int = 0) -> Iterator[tuple[int, RegistryEvent]]:
+        """Yield (line number, event) for events with seq > after_seq as they
+        are read, enforcing dense ordering.
 
         A final line with no newline is a torn append, not an event: it is not
         yielded, and opening an ``EventLog`` on the file cuts it off. Every
@@ -293,7 +309,7 @@ class EventLog:
                         f"sequence gap at line {lineno}: expected {expected}, got {event.seq}",
                         details={"last_good_seq": last_good, "line": lineno},
                     )
-                yield event
+                yield lineno, event
                 last_good = event.seq
                 expected += 1
 
@@ -304,6 +320,20 @@ class Registry:
     Writers (register / renew / revoke) serialize on one lock and append an
     event before the in-memory state changes; readers take the same lock
     briefly, so they always observe a consistent post-event state.
+
+    Resolution reads two structures kept beside the records, both under the
+    lock:
+
+    - Posting lists: for each name field in ``INDEXED_FIELDS``, a map from
+      field value to the keys of the non-revoked records with that value. A
+      query reads the smallest list among the fields it sets and scans every
+      record only when it sets none. Every candidate is still checked for
+      visibility, the query and runtime policy, so expiry stays lazy.
+    - Runtime verdicts: record key -> (record, allowed). A runtime verdict
+      depends only on the record and the policy set, never on the clock. An
+      entry counts only while its record ``is`` the stored one; any write to
+      the key drops it, ``set_policies`` clears them all, and entries are
+      filled by the first resolve that needs them.
     """
 
     def __init__(
@@ -324,7 +354,8 @@ class Registry:
         self._observe = observe
         self._lock = threading.RLock()
         self._records: dict[str, AgentRecord] = {}
-        self._capability_index: dict[str, set[str]] = {}
+        self._postings: dict[str, dict[str, set[str]]] = {f: {} for f in INDEXED_FIELDS}
+        self._verdicts: dict[str, tuple[AgentRecord, bool]] = {}
         self.last_seq = 0
 
     def _timed_validate_chain(self, chain: CertificateChain, now: int):
@@ -353,23 +384,37 @@ class Registry:
         """Atomic swap of the whole policy set."""
         with self._lock:
             self._policies = tuple(policies)
+            self._verdicts.clear()
 
     # -- index maintenance ---------------------------------------------------
 
-    def _index_add(self, record: AgentRecord) -> None:
-        key = record.name.render()
-        for commitment in record.commitments:
-            self._capability_index.setdefault(commitment.capability, set()).add(key)
+    def _index_add(self, key: str, name: AnsName) -> None:
+        for field, postings in self._postings.items():
+            postings.setdefault(getattr(name, field), set()).add(key)
 
-    def _index_remove(self, record: AgentRecord) -> None:
-        key = record.name.render()
-        for commitment in record.commitments:
-            members = self._capability_index.get(commitment.capability)
+    def _index_remove(self, key: str, name: AnsName) -> None:
+        for field, postings in self._postings.items():
+            value = getattr(name, field)
+            members = postings.get(value)
             if members is None:
                 continue
             members.discard(key)
             if not members:
-                del self._capability_index[commitment.capability]
+                del postings[value]
+
+    def _store(self, key: str, record: AgentRecord) -> None:
+        """Put a record under its key, keeping the posting lists (which hold
+        only non-revoked records) and the verdict memo in step. Every record
+        under one key has the same name, so only a status change moves it."""
+        existing = self._records.get(key)
+        was_listed = existing is not None and existing.status == STATUS_ACTIVE
+        listed = record.status == STATUS_ACTIVE
+        if was_listed and not listed:
+            self._index_remove(key, record.name)
+        elif listed and not was_listed:
+            self._index_add(key, record.name)
+        self._records[key] = record
+        self._verdicts.pop(key, None)
 
     def _append(self, kind: str, payload: dict, at: int) -> None:
         event = RegistryEvent(seq=self.last_seq + 1, kind=kind, payload=payload, at=at)
@@ -456,10 +501,7 @@ class Registry:
             ):
                 raise AnsError(DUPLICATE_AGENT, f"{key} is already registered to another DID")
             self._append(EVENT_REGISTERED, {"record": record.to_doc()}, now)
-            if existing is not None:
-                self._index_remove(existing)
-            self._records[key] = record
-            self._index_add(record)
+            self._store(key, record)
         return record
 
     def _lookup(self, name_text: str) -> AgentRecord:
@@ -482,7 +524,7 @@ class Registry:
                 raise AnsError(BAD_SIGNATURE, "renewal signature does not verify")
             renewed = replace(record, expires_at=now + self.record_ttl_seconds)
             self._append(EVENT_RENEWED, {"name": name_text, "expires_at": renewed.expires_at}, now)
-            self._records[name_text] = renewed
+            self._store(name_text, renewed)
         return renewed
 
     def revoke(self, name_text: str, ts: int, signature: bytes, now: int) -> None:
@@ -502,19 +544,24 @@ class Registry:
                 raise AnsError(BAD_SIGNATURE, "revocation signature does not verify")
             if record.status == STATUS_REVOKED:
                 return
-            revoked = replace(record, status=STATUS_REVOKED)
             self._append(EVENT_REVOKED, {"name": name_text}, now)
-            self._records[name_text] = revoked
-            self._index_remove(revoked)
+            self._store(name_text, replace(record, status=STATUS_REVOKED))
 
     # -- read operations -----------------------------------------------------
 
     def _visible(self, record: AgentRecord, now: int) -> bool:
         return record.status == STATUS_ACTIVE and now <= record.expires_at
 
-    def _runtime_allowed(self, record: AgentRecord, now: int) -> bool:
+    def _runtime_allowed(self, key: str, record: AgentRecord, now: int) -> bool:
+        """Runtime policy verdict for the record stored under ``key``,
+        memoized; callers hold the lock."""
+        memo = self._verdicts.get(key)
+        if memo is not None and memo[0] is record:
+            return memo[1]
         ctx = EvaluationContext(self._subject_from_record(record), PHASE_RUNTIME, now)
-        return self._timed_evaluate(ctx).allowed
+        allowed = self._timed_evaluate(ctx).allowed
+        self._verdicts[key] = (record, allowed)
+        return allowed
 
     def resolve(self, query: NameQuery, now: int) -> list[AgentRecord]:
         """Active, unexpired, policy-allowed records matching the query,
@@ -522,34 +569,36 @@ class Registry:
         only the highest version per (agent_id, capability, provider,
         extension) group."""
         with self._lock:
-            if query.capability is not None:
-                keys = self._capability_index.get(query.capability, set())
-                candidates = [self._records[k] for k in keys]
+            lists = [self._postings[field].get(value, ())
+                     for field in INDEXED_FIELDS
+                     if (value := getattr(query, field)) is not None]
+            if lists:
+                candidates = [(k, self._records[k]) for k in min(lists, key=len)]
             else:
-                candidates = list(self._records.values())
+                candidates = self._records.items()
             hits = [
-                r for r in candidates
+                (k, r) for k, r in candidates
                 if self._visible(r, now)
                 and names.matches(r.name, query)
-                and self._runtime_allowed(r, now)
+                and self._runtime_allowed(k, r, now)
             ]
         if query.version_req is not None and query.version_req.kind == names.LATEST:
             best: dict[tuple, names.Version] = {}
-            for record in hits:
+            for _, record in hits:
                 group = (record.name.agent_id, record.name.capability,
                          record.name.provider, record.name.extension)
                 current = best.get(group)
                 if current is None or compare_versions(record.name.version, current) > 0:
                     best[group] = record.name.version
             hits = [
-                r for r in hits
+                (k, r) for k, r in hits
                 if compare_versions(
                     r.name.version,
                     best[(r.name.agent_id, r.name.capability, r.name.provider, r.name.extension)],
                 ) == 0
             ]
-        hits.sort(key=lambda r: (tuple(-v for v in r.name.version.sort_key()), r.name.render()))
-        return hits
+        hits.sort(key=lambda kr: (tuple(-v for v in kr[1].name.version.sort_key()), kr[0]))
+        return [r for _, r in hits]
 
     def sweep_expired(self, now: int) -> int:
         """Drop expired records from memory. Resolution already excludes them
@@ -558,7 +607,9 @@ class Registry:
         with self._lock:
             for key in [k for k, r in self._records.items() if now > r.expires_at]:
                 record = self._records.pop(key)
-                self._index_remove(record)
+                if record.status == STATUS_ACTIVE:
+                    self._index_remove(key, record.name)
+                self._verdicts.pop(key, None)
                 removed += 1
         return removed
 
@@ -578,16 +629,16 @@ class Registry:
             return list(self._records.values())
 
     def audit_index(self) -> bool:
-        """Consistency audit: the capability index must exactly mirror the
-        commitments of active (non-revoked) records."""
+        """Consistency audit: every posting list must exactly mirror the name
+        fields of the active (non-revoked) records."""
         with self._lock:
-            expected: dict[str, set[str]] = {}
+            expected: dict[str, dict[str, set[str]]] = {f: {} for f in INDEXED_FIELDS}
             for key, record in self._records.items():
                 if record.status != STATUS_ACTIVE:
                     continue
-                for commitment in record.commitments:
-                    expected.setdefault(commitment.capability, set()).add(key)
-            return expected == self._capability_index
+                for field, postings in expected.items():
+                    postings.setdefault(getattr(record.name, field), set()).add(key)
+            return expected == self._postings
 
     # -- persistence ---------------------------------------------------------
 
@@ -610,21 +661,14 @@ class Registry:
     def _apply_event(self, event: RegistryEvent, decoder: RecordDecoder) -> None:
         if event.kind == EVENT_REGISTERED:
             record = decoder.record(event.payload["record"])
-            key = record.name.render()
-            existing = self._records.get(key)
-            if existing is not None:
-                self._index_remove(existing)
-            self._records[key] = record
-            self._index_add(record)
+            self._store(record.name.render(), record)
         elif event.kind == EVENT_RENEWED:
             key = event.payload["name"]
-            record = self._records[key]
-            self._records[key] = replace(record, expires_at=int(event.payload["expires_at"]))
+            self._store(key, replace(self._records[key],
+                                     expires_at=int(event.payload["expires_at"])))
         elif event.kind == EVENT_REVOKED:
             key = event.payload["name"]
-            record = replace(self._records[key], status=STATUS_REVOKED)
-            self._records[key] = record
-            self._index_remove(record)
+            self._store(key, replace(self._records[key], status=STATUS_REVOKED))
         else:
             raise AnsError(LOG_CORRUPT, f"unknown event kind {event.kind!r}")
         self.last_seq = event.seq
@@ -662,12 +706,17 @@ class Registry:
             registry.last_seq = int(doc["last_seq"])
             for record_doc in doc["records"]:
                 record = decoder.record(record_doc)
-                registry._records[record.name.render()] = record
-                if record.status == STATUS_ACTIVE:
-                    registry._index_add(record)
+                registry._store(record.name.render(), record)
         if log_path is not None and os.path.exists(log_path):
-            for event in EventLog.read_events(log_path, after_seq=registry.last_seq):
-                registry._apply_event(event, decoder)
+            for line, event in EventLog.read_numbered(log_path, after_seq=registry.last_seq):
+                try:
+                    registry._apply_event(event, decoder)
+                except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise AnsError(
+                        LOG_CORRUPT,
+                        f"malformed {event.kind!r} event at line {line}: {exc}",
+                        details={"last_good_seq": registry.last_seq, "line": line},
+                    ) from exc
         if log_path is not None:
             registry._log = EventLog(log_path, fsync=fsync)
         return registry

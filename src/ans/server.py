@@ -215,7 +215,9 @@ class AnsServer:
         self.registry.revoke(name_text, ts, signature, self.now())
         return 200, {"revoked": name_text}
 
-    def op_resolve(self, params: dict[str, str]) -> tuple[int, list]:
+    def op_resolve(self, params: dict[str, str]) -> tuple[int, bytes]:
+        """The reply body is the canonical JSON array of the hits, joined from
+        each record's cached bytes."""
         start = time.perf_counter()
         try:
             query = query_from_params(params)
@@ -223,7 +225,7 @@ class AnsServer:
         finally:
             self.metrics.inc("discovery_queries_total")
             self.metrics.observe("discovery", (time.perf_counter() - start) * 1e3)
-        return 200, [r.doc for r in records]
+        return 200, b"[" + b",".join(r.doc_bytes for r in records) + b"]"
 
     def op_challenge(self, body: dict) -> tuple[int, dict]:
         name_text = body.get("name")
@@ -264,8 +266,6 @@ class AnsServer:
             self.metrics.observe("attestation", (time.perf_counter() - start) * 1e3)
 
     def op_admission(self, body: dict) -> tuple[int, dict]:
-        if not isinstance(body, dict):
-            raise AnsError(codes.MALFORMED, "admission body must be a document")
         chain = None
         if "manifest" in body:
             manifest_doc = body["manifest"]
@@ -354,9 +354,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise AnsError(codes.MALFORMED, "empty request body")
         try:
-            return json.loads(raw)
+            body = json.loads(raw)
         except ValueError as exc:
             raise AnsError(codes.MALFORMED, f"body is not valid JSON: {exc}")
+        if not isinstance(body, dict):
+            raise AnsError(codes.MALFORMED, "body must be a JSON object")
+        return body
 
     def _send(self, status: int, content_type: str, data: bytes) -> None:
         self.send_response(status)
@@ -385,8 +388,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             if method == "GET" and path == "/v1/resolve":
                 params = {k: v[-1] for k, v in urllib.parse.parse_qs(parsed.query).items()}
-                status, payload = self._ans().op_resolve(params)
-                self._send_json(status, payload)
+                status, body = self._ans().op_resolve(params)
+                self._send(status, "application/json", body)
                 return
             if method == "POST" and path == "/v1/agents":
                 status, payload = self._ans().op_register(self._read_body())

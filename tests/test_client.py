@@ -82,6 +82,17 @@ def test_discover_includes_self(server, ca):
     assert any(r.name == identity.name for r in found)
 
 
+def test_discover_decodes_shared_issuers_once(server, ca):
+    for i in (27, 28, 29):
+        client.register_with(make_identity(ca, make_name(i, capability="cap-share")),
+                             server.url, "ns-0")
+    found = client.discover(server.url, NameQuery(capability="cap-share"))
+    assert len(found) == 3
+    for record in found:
+        assert record.chain.intermediate is found[0].chain.intermediate
+        assert record.chain.root is found[0].chain.root
+
+
 def test_discover_empty_is_not_an_error(server):
     assert client.discover(server.url, NameQuery(capability="cap-none")) == []
 

@@ -10,7 +10,17 @@ from ans.client import build_registration_request
 from ans.errors import AnsError
 from ans.identity import AGENT_VALIDITY_S, ROLE_AGENT, Certificate, KeyPair, issue_certificate
 from ans.names import NameQuery, Version, VersionRequirement, matches
-from ans.policy import EvaluationContext, PHASE_RUNTIME, evaluate
+from ans.harness import harness_policies
+from ans.policy import (
+    EvaluationContext,
+    PHASE_RUNTIME,
+    Policy,
+    PolicyRule,
+    PolicySubject,
+    RuleConditions,
+    RuleMatch,
+    evaluate,
+)
 from ans.registry import (
     EventLog,
     RecordDecoder,
@@ -324,6 +334,160 @@ def test_resolve_matches_linear_scan_oracle(ca, allow_policies):
         assert registry.resolve(query, NOW) == _oracle_resolve(registry, query, NOW)
 
 
+SHORT_VALIDITY_S = 30 * 86400
+
+
+def _policy_sets():
+    """Three sets for swapping: allow everything; a narrow set that denies
+    provider prov-1 and namespace ns-4 and allows only prod agents whose
+    certificate is valid for at most SHORT_VALIDITY_S; and allow everything
+    but the mcp protocol."""
+    narrow = Policy(id="narrow", description="few agents pass", rules=(
+        PolicyRule(id="deny-prov-1", effect="deny", match=RuleMatch(provider="prov-1")),
+        PolicyRule(id="deny-ns-4", effect="deny", match=RuleMatch(namespace="ns-4")),
+        PolicyRule(id="short-lived-prod", effect="allow", conditions=RuleConditions(
+            allowed_environments=("prod",), max_cert_validity_seconds=SHORT_VALIDITY_S)),
+    ))
+    no_mcp = PolicyRule(id="deny-mcp", effect="deny", match=RuleMatch(protocol="mcp"))
+    return [harness_policies(), [narrow], harness_policies(extra_rules=(no_mcp,))]
+
+
+def _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now):
+    """One random write, policy swap or sweep. ``identities`` maps name text
+    to the identity that registered it."""
+    action = rng.random()
+    try:
+        if action < 0.35 or not identities:
+            name = rng.choice(pool)
+            key = name.render()
+            namespace = f"ns-{rng.randrange(5)}"
+            if key in identities:  # rotation, perhaps to a short-lived certificate
+                validity = rng.choice((AGENT_VALIDITY_S, SHORT_VALIDITY_S))
+                identity = _rotated(ca, identities[key], now, validity)
+            else:
+                identity = make_identity(ca, name)
+            registry.register(build_registration_request(identity, namespace), now)
+            identities[key] = identity
+        elif action < 0.55:
+            key = rng.choice(sorted(identities))
+            sig = identities[key].identity_keys.sign(canonical_bytes(renewal_payload(key, now)))
+            registry.renew(key, now, sig, now)
+        elif action < 0.65:
+            key = rng.choice(sorted(identities))
+            sig = identities[key].identity_keys.sign(
+                canonical_bytes(revocation_payload(key, now)))
+            registry.revoke(key, now, sig, now)
+        elif action < 0.8:
+            registry.set_policies(rng.choice(policy_sets))
+        elif action < 0.9:
+            registry.sweep_expired(now)
+    except AnsError as exc:
+        # admission under a narrow set, renewing a revoked record, or a
+        # control message for a record the sweep removed
+        assert exc.code in ("POLICY_DENIED", "REVOKED", "UNKNOWN_AGENT"), exc
+
+
+def test_resolve_matches_oracle_through_lifecycle_and_policy_swaps(ca):
+    """Posting lists and memoized runtime verdicts answer exactly as a linear
+    scan does while records are renewed, rotated, revoked, expire and are
+    swept, and while the policy set is swapped: after every step, every query
+    kind (one field, two fields, none) equals the oracle."""
+    rng = random.Random(62)
+    policy_sets = _policy_sets()
+    registry = Registry(policies=policy_sets[0], trust_anchors=ca.anchors,
+                        record_ttl_seconds=3600)
+    pool = [
+        names.AnsName(
+            protocol=rng.choice(("a2a", "mcp")),
+            agent_id=f"life-{i:02d}",
+            capability=f"cap-{rng.randrange(4)}",
+            provider=f"prov-{rng.randrange(3)}",
+            version=Version(1, rng.randrange(3)),
+            extension=rng.choice(("prod", "staging")),
+        )
+        for i in range(24)
+    ]
+    every = NameQuery(version_req=VersionRequirement.at_least(Version(0, 0)))
+    identities = {name.render(): register(registry, ca, name)[0] for name in pool}
+    now = NOW
+    hits = denied = expired = 0
+    for step in range(120):
+        now += rng.choice((0, 10, 60, 300))  # records outlive about 40 steps unrenewed
+        _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now)
+        assert registry.audit_index(), step
+        queries = [NameQuery(agent_id=n.agent_id) for n in rng.sample(pool, 3)]
+        queries += [NameQuery(provider=f"prov-{p}", extension=env)
+                    for p in range(3) for env in ("prod", "staging")]
+        queries += [NameQuery(capability=f"cap-{c}") for c in range(4)]
+        queries += [NameQuery(protocol="mcp"), every,
+                    NameQuery(capability="cap-0", version_req=VersionRequirement.latest())]
+        for query in queries:
+            answer = registry.resolve(query, now)
+            assert answer == _oracle_resolve(registry, query, now), (step, query)
+            hits += len(answer)
+        denied += len(registry.active_records(now)) - len(registry.resolve(every, now))
+        expired += sum(r.status == "active" and now > r.expires_at for r in registry.all_records())
+    assert hits > 3000 and denied > 200 and expired > 100  # none of them vacuous
+
+
+def test_runtime_verdicts_follow_policy_swaps_and_writes(ca):
+    evaluations = []
+    registry = Registry(policies=harness_policies(), trust_anchors=ca.anchors,
+                        observe=lambda op, ms: evaluations.append(op))
+    identity, record = register(registry, ca, make_name(30, capability="cap-memo"))
+    query = NameQuery(capability="cap-memo")
+    assert registry.resolve(query, NOW) == [record]
+    evaluations.clear()
+    assert registry.resolve(query, NOW) == [record]
+    assert "policy_eval" not in evaluations  # the verdict is memoized
+
+    registry.set_policies(_policy_sets()[1])  # denies a 90-day certificate at once
+    assert registry.resolve(query, NOW) == []
+    rotated = _rotated(ca, identity, NOW, SHORT_VALIDITY_S)
+    short = registry.register(build_registration_request(rotated, "ns-0"), NOW)
+    assert registry.resolve(query, NOW) == [short]  # a new record, a new verdict
+
+    key = short.name.render()
+    sig = rotated.identity_keys.sign(canonical_bytes(renewal_payload(key, NOW + 1)))
+    renewed = registry.renew(key, NOW + 1, sig, NOW + 1)
+    assert registry.resolve(query, NOW + 1) == [renewed]
+    registry.set_policies([])  # default deny
+    assert registry.resolve(query, NOW + 1) == []
+    sig = rotated.identity_keys.sign(canonical_bytes(revocation_payload(key, NOW + 1)))
+    registry.revoke(key, NOW + 1, sig, NOW + 1)
+    registry.set_policies(harness_policies())
+    assert registry.resolve(query, NOW + 1) == []
+    assert registry.audit_index()
+
+
+def test_runtime_verdict_does_not_depend_on_the_clock():
+    """The verdict memo relies on runtime evaluation being a function of the
+    subject and the policy set alone."""
+    rng = random.Random(67)
+    policy_sets = _policy_sets()
+    for _ in range(300):
+        capability = rng.choice(("cap-0", "admin-x", "cap-1"))
+        subject = PolicySubject(
+            protocol=rng.choice(("a2a", "mcp")), agent_id="clock", capability=capability,
+            capabilities=(capability, "telemetry-export"),
+            provider=f"prov-{rng.randrange(3)}",
+            environment=rng.choice(("prod", "staging", "forbidden")),
+            namespace=f"ns-{rng.randrange(5)}",
+            cert_validity_seconds=rng.choice((SHORT_VALIDITY_S, AGENT_VALIDITY_S, 200 * 86400)),
+        )
+        policies = rng.choice(policy_sets)
+        decisions = {evaluate(EvaluationContext(subject, PHASE_RUNTIME, now), policies)
+                     for now in (0, NOW, NOW + AGENT_VALIDITY_S, 2 ** 40)}
+        assert len(decisions) == 1
+
+
+def test_audit_index_detects_a_stale_posting(registry, ca):
+    _, record = register(registry, ca, make_name(31, capability="cap-audit"))
+    assert registry.audit_index()
+    registry._postings["provider"][record.name.provider].discard(record.name.render())
+    assert not registry.audit_index()
+
+
 # -- persistence -------------------------------------------------------------------
 
 
@@ -389,6 +553,42 @@ def test_unparseable_line_detected(tmp_path, allow_policies, ca):
     assert err.value.details["last_good_seq"] == 1
 
 
+MALFORMED_EVENTS = {
+    "registered-empty": {"kind": "Registered", "payload": {}},
+    "registered-bad-name": {"kind": "Registered", "payload": {"record": {"name": "x"}}},
+    "renewed-unknown": {"kind": "Renewed", "payload": {
+        "name": make_name(98).render(), "expires_at": NOW}},
+    "renewed-not-a-map": {"kind": "Renewed", "payload": []},
+    "revoked-unknown": {"kind": "Revoked", "payload": {"name": make_name(98).render()}},
+    "unknown-kind": {"kind": "Renamed", "payload": {}},
+}
+
+
+@pytest.mark.parametrize("event", MALFORMED_EVENTS.values(), ids=MALFORMED_EVENTS.keys())
+def test_malformed_event_payload_detected(tmp_path, allow_policies, ca, event):
+    log_path = tmp_path / "events.log"
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    register(registry, ca, make_name(0))
+    registry.close()
+    with open(log_path, "a") as fh:
+        fh.write(canonical_json({"seq": 2, "at": NOW, **event}) + "\n")
+    with pytest.raises(AnsError) as err:
+        Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                         log_path=str(log_path))
+    assert err.value.code == "LOG_CORRUPT"
+    assert err.value.details == {"last_good_seq": 1, "line": 2}
+
+
+def test_malformed_first_event_detected(tmp_path, allow_policies, ca):
+    log_path = tmp_path / "events.log"
+    log_path.write_text('{"seq":1,"kind":"Registered","payload":{},"at":1}\n')
+    with pytest.raises(AnsError) as err:
+        Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                         log_path=str(log_path))
+    assert err.value.code == "LOG_CORRUPT"
+    assert err.value.details == {"last_good_seq": 0, "line": 1}
+
+
 def _sweep_answers(registry, now):
     battery = [NameQuery(capability=f"cap-{i}") for i in range(6)]
     battery += [NameQuery(capability=f"cap-{i}", version_req=VersionRequirement.latest())
@@ -397,11 +597,11 @@ def _sweep_answers(registry, now):
     return canonical_json([[r.to_doc() for r in registry.resolve(q, now)] for q in battery])
 
 
-def _rotated(ca, identity, now):
+def _rotated(ca, identity, now, validity=AGENT_VALIDITY_S):
     """The same agent and identity key under a freshly issued certificate."""
     cert = issue_certificate(
         ca.intermediate_keys, ca.intermediate_cert, identity.identity_keys.public_key,
-        ROLE_AGENT, AGENT_VALIDITY_S, subject_name=identity.name,
+        ROLE_AGENT, validity, subject_name=identity.name,
         commitments=identity.commitments(), now=now,
     )
     return dataclasses.replace(identity, chain=dataclasses.replace(identity.chain, agent=cert))

@@ -13,7 +13,7 @@ from ans.client import RegistryClient, build_registration_request
 from ans.errors import ERROR_CODES, AnsError
 from ans.policy import policies_to_doc
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
-from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig
+from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig, query_from_params
 from conftest import NOW, make_identity, make_name
 from test_manifest import LISTING_MANIFEST_YAML
 
@@ -133,6 +133,27 @@ def test_register_malformed_body_400(server):
     assert status == 400 and body["error"] == "MALFORMED"
 
 
+_AGENT_PATH = "/v1/agents/" + urllib.parse.quote(make_name(0).render(), safe="")
+BODY_ROUTES = [("POST", "/v1/agents"), ("POST", _AGENT_PATH + "/renew"),
+               ("DELETE", _AGENT_PATH), ("POST", "/v1/challenge"), ("POST", "/v1/attest"),
+               ("POST", "/v1/admission/validate")]
+
+
+@pytest.mark.parametrize("body", [[], "x", 1, None], ids=["list", "text", "number", "null"])
+@pytest.mark.parametrize("method,path", BODY_ROUTES)
+def test_non_object_body_400(server, method, path, body):
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request(method, path, body=json.dumps(body).encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        status, doc = response.status, json.loads(response.read())
+    finally:
+        conn.close()
+    assert status == 400 and doc["error"] == "MALFORMED", doc
+
+
 # -- resolve ------------------------------------------------------------------------
 
 
@@ -170,6 +191,44 @@ def test_resolve_latest_picks_newest(server, rc, ca):
     _register(server, rc, ca, dataclasses.replace(base, version=names.Version(2, 0)))
     records = rc.get("/v1/resolve?capability=cap-l&version=latest")
     assert {r["name"].split(".v")[1] for r in records} == {"2.0.prod"}
+
+
+def _raw_resolve(server, params: dict) -> bytes:
+    query = urllib.parse.urlencode(params)
+    with urllib.request.urlopen(f"{server.url}/v1/resolve?{query}") as response:
+        return response.read()
+
+
+def test_resolve_body_is_canonical_json_of_the_answer(server, rc, ca):
+    """The reply joined from cached per-record bytes equals, byte for byte,
+    the canonical encoding of the registry's answer, also after a renew and
+    a revoke replace records."""
+    identities = [
+        _register(server, rc, ca, make_name(i, capability="cap-body"), namespace=f"ns-{i}")[0]
+        for i in (40, 41, 45)
+    ]
+    battery = [{"capability": "cap-body"}, {"agent": "agent-041"},
+               {"provider": "prov-0", "env": "prod"}, {"version": "latest"}, {"capability": "none"}]
+
+    def check():
+        for params in battery:
+            expected = server.registry.resolve(query_from_params(params), server.now())
+            assert _raw_resolve(server, params) == \
+                canonical_json([r.to_doc() for r in expected]).encode()
+
+    check()
+    renewed = identities[0].name.render()
+    ts = int(time.time())
+    signature = identities[0].identity_keys.sign(canonical_bytes(renewal_payload(renewed, ts)))
+    rc.post(f"/v1/agents/{urllib.parse.quote(renewed, safe='')}/renew",
+            {"ts": ts, "signature": signature.hex()})
+    check()
+    revoked = identities[1].name.render()
+    signature = identities[1].identity_keys.sign(canonical_bytes(revocation_payload(revoked, ts)))
+    rc.delete(f"/v1/agents/{urllib.parse.quote(revoked, safe='')}",
+              {"ts": ts, "signature": signature.hex()})
+    check()
+    assert len(json.loads(_raw_resolve(server, {"capability": "cap-body"}))) == 2
 
 
 def test_resolve_bad_protocol_400(server):
