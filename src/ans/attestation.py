@@ -234,14 +234,16 @@ def verify(
     trust_anchors,
     store: ChallengeStore,
     now: int,
+    verified: dict | None = None,
 ) -> AttestationResult:
     """Grant iff the chain validates, capabilities line up, both signatures
     verify, and the nonce is an outstanding unexpired challenge issued to this
     agent. The nonce is consumed only when everything else already passed, so
     a failed attempt does not burn the challenge; concurrent duplicates race
-    on an atomic remove and exactly one wins.
+    on an atomic remove and exactly one wins. ``verified`` is passed on to
+    ``validate_chain`` as its memo.
     """
-    chain_check = validate_chain(agent_chain, trust_anchors, now)
+    chain_check = validate_chain(agent_chain, trust_anchors, now, verified)
     if not chain_check.ok:
         return AttestationResult.deny(CHAIN_INVALID, f"agent chain rejected: {chain_check.message}")
     agent_cert: Certificate = agent_chain.agent

@@ -150,7 +150,11 @@ class RegistryClient:
     def _request(self, method: str, path: str, body=None):
         payload = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if payload else {}
-        for attempt in (0, 1):
+        # Only a GET is sent again on a fresh connection. A POST or DELETE
+        # may have been applied before the connection failed, so sending it
+        # again could apply it twice.
+        attempts = 2 if method == "GET" else 1
+        for attempt in range(attempts):
             if self._conn is None:
                 self._conn = http.client.HTTPConnection(self._host, self._port,
                                                         timeout=self._timeout)
@@ -167,7 +171,7 @@ class RegistryClient:
                 break
             except (OSError, http.client.HTTPException) as exc:
                 self.close()
-                if attempt == 1:
+                if attempt == attempts - 1:
                     raise TransportError(f"{method} {path}: {exc}") from exc
         content_type = response.headers.get("Content-Type", "")
         if content_type.startswith("text/plain"):

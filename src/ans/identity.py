@@ -11,6 +11,7 @@ certified data instead of anything self-asserted.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import secrets
 from dataclasses import dataclass, replace
@@ -66,9 +67,14 @@ class KeyPair:
         public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
         return cls(public_key=public, private_key=seed)
 
+    @functools.cached_property
+    def _signer(self) -> Ed25519PrivateKey:
+        """The private-key object, built once: building it costs as much as
+        the signature itself."""
+        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+
     def sign(self, message: bytes) -> bytes:
-        private = Ed25519PrivateKey.from_private_bytes(self.private_key)
-        return private.sign(message)
+        return self._signer.sign(message)
 
 
 def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> bool:
@@ -303,15 +309,38 @@ def _check_window(cert: Certificate, now: int) -> ChainValidation | None:
     return None
 
 
+def window_error(chain: CertificateChain, now: int) -> ChainValidation | None:
+    """The verdict for the first certificate of the chain, agent first, whose
+    validity window excludes ``now``; None when all three include it."""
+    for cert in (chain.agent, chain.intermediate, chain.root):
+        bad = _check_window(cert, now)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _memo_hit(verified: dict, cert: Certificate, issuer: Certificate) -> bool:
+    known = verified.get((issuer.public_key, cert.signature))
+    return known is not None and (known is cert or known == cert)
+
+
 def validate_chain(
     chain: CertificateChain,
     trust_anchors: tuple[Certificate, ...] | list[Certificate] | set,
     now: int,
+    verified: dict[tuple[bytes, bytes], Certificate] | None = None,
 ) -> ChainValidation:
     """Validate structure, anchor membership, time windows, then signatures.
 
     Time windows are checked before any signature so an expired peer fails
     fast with CERT_EXPIRED rather than a generic signature error.
+
+    ``verified`` is an optional memo: (issuer public key, signature) -> the
+    certificate whose signature verified under that key. A certificate equal
+    in every field to its entry skips its DID derivation and its signature
+    verify, which depend on nothing else. Structure, issuer links, anchor
+    membership and every window are checked on every call. The certificates
+    that missed are added only once the whole chain has validated.
     """
     agent, inter, root = chain.agent, chain.intermediate, chain.root
 
@@ -321,26 +350,29 @@ def validate_chain(
         return ChainValidation(False, CHAIN_INVALID, "issuer/subject linkage broken")
     if root.issuer_did != root.subject_did:
         return ChainValidation(False, CHAIN_INVALID, "root certificate is not self-signed")
+    unverified = [(cert, issuer) for cert, issuer in ((agent, inter), (inter, root), (root, root))
+                  if verified is None or not _memo_hit(verified, cert, issuer)]
     for cert in (agent, inter, root):
         if cert.not_before >= cert.not_after:
             return ChainValidation(False, CHAIN_INVALID, f"{cert.role} validity window is empty")
-        if cert.subject_did != derive_did(cert.public_key):
+        if (any(c is cert for c, _ in unverified)
+                and cert.subject_did != derive_did(cert.public_key)):
             return ChainValidation(False, CHAIN_INVALID, f"{cert.role} DID does not match its key")
 
-    anchor_docs = {encode_canonical(a.to_doc()) for a in trust_anchors}
-    if encode_canonical(root.to_doc()) not in anchor_docs:
+    if root not in trust_anchors:
         return ChainValidation(False, UNTRUSTED_ROOT, "root certificate is not a trust anchor")
 
-    for cert in (agent, inter, root):
-        bad = _check_window(cert, now)
-        if bad is not None:
-            return bad
+    bad = window_error(chain, now)
+    if bad is not None:
+        return bad
 
-    pairs = ((root, root), (inter, root), (agent, inter))
-    for cert, issuer in pairs:
+    for cert, issuer in reversed(unverified):
         if not verify_signature(issuer.public_key, cert.signature, canonical_cert_bytes(cert)):
             return ChainValidation(False, CHAIN_INVALID, f"{cert.role} signature does not verify")
 
+    if verified is not None:
+        for cert, issuer in unverified:
+            verified[(issuer.public_key, cert.signature)] = cert
     return ChainValidation(True)
 
 

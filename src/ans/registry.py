@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import names
 from .canonical import canonical_bytes, canonical_json
@@ -38,8 +38,10 @@ from .identity import (
     CapabilityCommitment,
     Certificate,
     CertificateChain,
+    ROLE_AGENT,
     validate_chain,
     verify_signature,
+    window_error,
 )
 from .names import AnsName, NameQuery, compare_versions
 from .policy import EvaluationContext, PHASE_ADMISSION, PHASE_RUNTIME, PolicySubject, evaluate, explain
@@ -71,6 +73,18 @@ class AgentRecord:
     registered_at: int
     expires_at: int
     status: str
+    # First and last second at which the record may be served: inside all
+    # three certificate windows and no later than its own expiry. Set at
+    # construction, so every record's attributes come in one order and
+    # records keep sharing one attribute-key table.
+    serve_from: int = field(init=False, repr=False, compare=False)
+    serve_until: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        certs = (self.chain.agent, self.chain.intermediate, self.chain.root)
+        object.__setattr__(self, "serve_from", max(c.not_before for c in certs))
+        object.__setattr__(self, "serve_until",
+                           min(self.expires_at, *(c.not_after for c in certs)))
 
     @functools.cached_property
     def doc(self) -> dict:
@@ -79,9 +93,9 @@ class AgentRecord:
 
     @functools.cached_property
     def doc_bytes(self) -> bytes:
-        """Canonical bytes of the serialized form, cached: a resolve reply is
-        a join of these, so each record is encoded once however often it is
-        served."""
+        """Canonical bytes of the serialized form, cached: the record's log
+        line, its register or renew reply and every resolve reply that
+        carries it share this one encoding."""
         return canonical_bytes(self.to_doc())
 
     def to_doc(self) -> dict:
@@ -229,7 +243,7 @@ class EventLog:
         self.path = path
         self.fsync = fsync
         self._drop_torn_tail()
-        self._fh = open(path, "a", encoding="utf-8")
+        self._fh = open(path, "ab")
 
     def _drop_torn_tail(self) -> None:
         """Cut an unterminated final line off the log before appending to it.
@@ -258,7 +272,11 @@ class EventLog:
               f"at offset {keep}", file=sys.stderr)
 
     def append(self, event: RegistryEvent) -> None:
-        self._fh.write(canonical_json(event.to_doc()) + "\n")
+        self.append_line(canonical_bytes(event.to_doc()))
+
+    def append_line(self, line: bytes) -> None:
+        """Append one already-encoded event."""
+        self._fh.write(line + b"\n")
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -334,6 +352,12 @@ class Registry:
       entry counts only while its record ``is`` the stored one; any write to
       the key drops it, ``set_policies`` clears them all, and entries are
       filled by the first resolve that needs them.
+
+    ``verified`` is the ``validate_chain`` memo for register and attest: the
+    certificates whose signatures this process has verified. It holds the
+    issuers plus at most one agent certificate per stored record, since
+    ``_store``, ``sweep_expired`` and a failed registration drop the rest.
+    Recovery verifies nothing, so it adds nothing.
     """
 
     def __init__(
@@ -356,13 +380,14 @@ class Registry:
         self._records: dict[str, AgentRecord] = {}
         self._postings: dict[str, dict[str, set[str]]] = {f: {} for f in INDEXED_FIELDS}
         self._verdicts: dict[str, tuple[AgentRecord, bool]] = {}
+        self.verified: dict[tuple[bytes, bytes], Certificate] = {}
         self.last_seq = 0
 
     def _timed_validate_chain(self, chain: CertificateChain, now: int):
         if self._observe is None:
-            return validate_chain(chain, self.trust_anchors, now)
+            return validate_chain(chain, self.trust_anchors, now, self.verified)
         start = time.perf_counter()
-        verdict = validate_chain(chain, self.trust_anchors, now)
+        verdict = validate_chain(chain, self.trust_anchors, now, self.verified)
         self._observe("chain_validation", (time.perf_counter() - start) * 1e3)
         return verdict
 
@@ -404,8 +429,9 @@ class Registry:
 
     def _store(self, key: str, record: AgentRecord) -> None:
         """Put a record under its key, keeping the posting lists (which hold
-        only non-revoked records) and the verdict memo in step. Every record
-        under one key has the same name, so only a status change moves it."""
+        only non-revoked records), the verdict memo and the verified memo in
+        step. Every record under one key has the same name, so only a status
+        change moves it."""
         existing = self._records.get(key)
         was_listed = existing is not None and existing.status == STATUS_ACTIVE
         listed = record.status == STATUS_ACTIVE
@@ -415,12 +441,30 @@ class Registry:
             self._index_add(key, record.name)
         self._records[key] = record
         self._verdicts.pop(key, None)
+        agent = record.chain.agent
+        if existing is not None and existing.chain.agent != agent:
+            self._forget_agent(existing.chain)
+        # An equal certificate decoded from a later request replaces the
+        # memo's, so the memo keeps no object that no record holds.
+        entry = (record.chain.intermediate.public_key, agent.signature)
+        if self.verified.get(entry) == agent:
+            self.verified[entry] = agent
 
-    def _append(self, kind: str, payload: dict, at: int) -> None:
-        event = RegistryEvent(seq=self.last_seq + 1, kind=kind, payload=payload, at=at)
+    def _forget_agent(self, chain: CertificateChain) -> None:
+        """Drop the chain's agent certificate from the verified memo."""
+        entry = (chain.intermediate.public_key, chain.agent.signature)
+        if self.verified.get(entry) == chain.agent:
+            self.verified.pop(entry, None)
+
+    def _append(self, kind: str, payload: bytes, at: int) -> None:
+        """Log an event whose payload is given as canonical bytes. Keys in
+        sorted order around canonical values make the line byte-identical to
+        ``canonical_bytes`` of the event's document."""
+        seq = self.last_seq + 1
         if self._log is not None:
-            self._log.append(event)
-        self.last_seq = event.seq
+            self._log.append_line(b'{"at":%d,"kind":"%s","payload":%s,"seq":%d}'
+                                  % (at, kind.encode("ascii"), payload, seq))
+        self.last_seq = seq
 
     # -- write operations ----------------------------------------------------
 
@@ -453,7 +497,22 @@ class Registry:
             raise AnsError(INVALID_NAME, f"request name rejected: {exc.message}") from exc
 
         self._timed_validate_chain(request.chain, now).raise_if_invalid()
+        try:
+            return self._admit(parsed, request, now)
+        except BaseException:
+            # A chain that validated entered the verified memo; keep its
+            # agent certificate only while a stored record holds it, which
+            # can only be the record under the certificate's own name.
+            agent = request.chain.agent
+            with self._lock:
+                stored = (self._records.get(agent.subject_name.render())
+                          if agent.subject_name is not None else None)
+                if stored is None or stored.chain.agent != agent:
+                    self._forget_agent(request.chain)
+            raise
 
+    def _admit(self, parsed: AnsName, request: RegistrationRequest, now: int) -> AgentRecord:
+        """Everything ``register`` checks after the chain, then the write."""
         agent_cert = request.chain.agent
         if not verify_signature(
             agent_cert.public_key, request.signature, canonical_bytes(request.signing_payload())
@@ -484,6 +543,7 @@ class Registry:
             expires_at=now + self.record_ttl_seconds,
             status=STATUS_ACTIVE,
         )
+        payload = b'{"record":%s}' % record.doc_bytes
 
         with self._lock:
             ctx = EvaluationContext(self._subject_from_record(record), PHASE_ADMISSION, now)
@@ -500,7 +560,7 @@ class Registry:
                 and existing.did != record.did
             ):
                 raise AnsError(DUPLICATE_AGENT, f"{key} is already registered to another DID")
-            self._append(EVENT_REGISTERED, {"record": record.to_doc()}, now)
+            self._append(EVENT_REGISTERED, payload, now)
             self._store(key, record)
         return record
 
@@ -517,13 +577,17 @@ class Registry:
             record = self._lookup(name_text)
             if record.status == STATUS_REVOKED:
                 raise AnsError(REVOKED, f"{name_text} is revoked")
+            bad = window_error(record.chain, now)
+            if bad is not None:
+                bad.raise_if_invalid()
             if abs(now - ts) > CONTROL_TS_WINDOW_S:
                 raise AnsError(BAD_SIGNATURE, "renewal timestamp outside acceptance window")
             payload = canonical_bytes(renewal_payload(name_text, ts))
             if not verify_signature(record.chain.agent.public_key, signature, payload):
                 raise AnsError(BAD_SIGNATURE, "renewal signature does not verify")
             renewed = replace(record, expires_at=now + self.record_ttl_seconds)
-            self._append(EVENT_RENEWED, {"name": name_text, "expires_at": renewed.expires_at}, now)
+            self._append(EVENT_RENEWED, canonical_bytes(
+                {"name": name_text, "expires_at": renewed.expires_at}), now)
             self._store(name_text, renewed)
         return renewed
 
@@ -544,13 +608,15 @@ class Registry:
                 raise AnsError(BAD_SIGNATURE, "revocation signature does not verify")
             if record.status == STATUS_REVOKED:
                 return
-            self._append(EVENT_REVOKED, {"name": name_text}, now)
+            self._append(EVENT_REVOKED, canonical_bytes({"name": name_text}), now)
             self._store(name_text, replace(record, status=STATUS_REVOKED))
 
     # -- read operations -----------------------------------------------------
 
     def _visible(self, record: AgentRecord, now: int) -> bool:
-        return record.status == STATUS_ACTIVE and now <= record.expires_at
+        """Active, unexpired and inside all three certificate windows."""
+        return (record.status == STATUS_ACTIVE
+                and record.serve_from <= now <= record.serve_until)
 
     def _runtime_allowed(self, key: str, record: AgentRecord, now: int) -> bool:
         """Runtime policy verdict for the record stored under ``key``,
@@ -602,7 +668,9 @@ class Registry:
 
     def sweep_expired(self, now: int) -> int:
         """Drop expired records from memory. Resolution already excludes them
-        lazily; this only reclaims space, so it appends no event."""
+        lazily; this only reclaims space, so it appends no event. The
+        verified memo keeps only issuers and the agent certificates of the
+        records that remain."""
         removed = 0
         with self._lock:
             for key in [k for k, r in self._records.items() if now > r.expires_at]:
@@ -611,6 +679,12 @@ class Registry:
                     self._index_remove(key, record.name)
                 self._verdicts.pop(key, None)
                 removed += 1
+            stored = {(r.chain.intermediate.public_key, r.chain.agent.signature): r.chain.agent
+                      for r in self._records.values()}
+            # A copy: validations outside the lock may add entries meanwhile.
+            for entry, cert in list(self.verified.items()):
+                if cert.role == ROLE_AGENT and stored.get(entry) != cert:
+                    self.verified.pop(entry, None)
         return removed
 
     def get_active(self, name_text: str, now: int) -> AgentRecord | None:
@@ -703,10 +777,13 @@ class Registry:
                     doc = json.load(fh)
                 except ValueError as exc:
                     raise AnsError(LOG_CORRUPT, f"snapshot unreadable: {exc}")
-            registry.last_seq = int(doc["last_seq"])
-            for record_doc in doc["records"]:
-                record = decoder.record(record_doc)
-                registry._store(record.name.render(), record)
+            try:
+                registry.last_seq = int(doc["last_seq"])
+                for record_doc in doc["records"]:
+                    record = decoder.record(record_doc)
+                    registry._store(record.name.render(), record)
+            except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise AnsError(LOG_CORRUPT, f"malformed snapshot: {exc!r}") from exc
         if log_path is not None and os.path.exists(log_path):
             for line, event in EventLog.read_numbered(log_path, after_seq=registry.last_seq):
                 try:

@@ -25,6 +25,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import attestation, errors as codes, names
@@ -67,6 +68,9 @@ STATUS_BY_CODE = {
 
 # Largest request body read; a registration or a manifest is a few KiB.
 MAX_BODY_BYTES = 1 << 20
+# The stdlib's request limits: bytes per header line, header lines per request.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,6 @@ class AnsServer:
         host, port = config.host_port()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
-        # Small request/response pairs suffer badly from Nagle + delayed ACK.
-        self._httpd.disable_nagle_algorithm = True
         self._httpd.ans_server = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
@@ -187,7 +189,9 @@ class AnsServer:
 
     # -- operation bodies, shared by the HTTP handler ------------------------
 
-    def op_register(self, body: dict) -> tuple[int, dict]:
+    def op_register(self, body: dict) -> tuple[int, bytes]:
+        """The reply body is the stored record's canonical bytes, the same
+        bytes its log line embeds and later resolves reuse."""
         start = time.perf_counter()
         now = self.now()
         try:
@@ -203,12 +207,12 @@ class AnsServer:
         finally:
             self.metrics.observe("registration", (time.perf_counter() - start) * 1e3)
         self.metrics.inc("registrations_total")
-        return 201, record.to_doc()
+        return 201, record.doc_bytes
 
-    def op_renew(self, name_text: str, body: dict) -> tuple[int, dict]:
+    def op_renew(self, name_text: str, body: dict) -> tuple[int, bytes]:
         ts, signature = _control_fields(body)
         record = self.registry.renew(name_text, ts, signature, self.now())
-        return 200, record.to_doc()
+        return 200, record.doc_bytes
 
     def op_revoke(self, name_text: str, body: dict) -> tuple[int, dict]:
         ts, signature = _control_fields(body)
@@ -255,7 +259,7 @@ class AnsServer:
                 )
             result = attestation.verify(
                 proof, commitment, record.chain, self.registry.trust_anchors,
-                self.challenges, self.now(),
+                self.challenges, self.now(), self.registry.verified,
             )
             if not result.granted:
                 self.metrics.inc("auth_failures_total")
@@ -331,6 +335,26 @@ def query_from_params(params: dict[str, str]) -> names.NameQuery:
     )
 
 
+class _Headers(dict):
+    """Request header fields keyed by lower-cased name, read with ``get`` in
+    any case; of a repeated field the first value counts, as with the
+    stdlib's ``email`` message."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/major.minor`` as two integers, or None if malformed (the
+    stdlib's rules: one dot, digits only, at most ten of them each)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() and len(p) <= 10 for p in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "ans"
@@ -341,6 +365,81 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
+
+    def parse_request(self) -> bool:
+        """The stdlib's ``parse_request``, with the header lines split into a
+        ``_Headers`` map instead of parsed by ``email``, which costs about ten
+        times as much per request. Limits and meaning are the stdlib's:
+        431 for a header line over 65,536 bytes or over 100 header lines,
+        505 for HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes
+        the connection, and ``Expect: 100-continue`` gets its interim reply.
+        Beyond the stdlib, a malformed header line and two different
+        ``Content-Length`` values get 400, and the 505 reply carries a status
+        line. As in the stdlib, a malformed request line is answered with a
+        bare error page, HTTP/0.9 style."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            number = _version_number(words[-1])
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
+                return False
+            self.request_version = words[-1]
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # As the stdlib does: '//host/x' would read as a scheme-relative URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = self.headers = _Headers()
+        lines = 0
+        while True:
+            line = self.rfile.readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines += 1
+            if lines > MAX_HEADERS:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
+                return False
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or not name or name != name.strip():
+                self.send_error(HTTPStatus.BAD_REQUEST, "Malformed header line")
+                return False
+            name, value = name.lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Conflicting Content-Length values")
+                return False
+            headers.setdefault(name, value)
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     def _read_body(self) -> dict:
         length = self.headers.get("Content-Length", "0")
@@ -362,6 +461,9 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send(self, status: int, content_type: str, data: bytes) -> None:
+        # The headers and the body go out as two writes on an unbuffered
+        # socket, so a small reply waits for the client's delayed ACK (about
+        # 40 ms on Linux). Sending each reply as one write is ROADMAP item 1.
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
@@ -392,13 +494,13 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(status, "application/json", body)
                 return
             if method == "POST" and path == "/v1/agents":
-                status, payload = self._ans().op_register(self._read_body())
-                self._send_json(status, payload)
+                status, body = self._ans().op_register(self._read_body())
+                self._send(status, "application/json", body)
                 return
             if method == "POST" and path.startswith("/v1/agents/") and path.endswith("/renew"):
                 name_text = urllib.parse.unquote(path[len("/v1/agents/"):-len("/renew")])
-                status, payload = self._ans().op_renew(name_text, self._read_body())
-                self._send_json(status, payload)
+                status, body = self._ans().op_renew(name_text, self._read_body())
+                self._send(status, "application/json", body)
                 return
             if method == "DELETE" and path.startswith("/v1/agents/"):
                 name_text = urllib.parse.unquote(path[len("/v1/agents/"):])

@@ -1,4 +1,5 @@
 import itertools
+import socket
 import threading
 import time
 
@@ -73,6 +74,55 @@ def test_registry_down_is_transport_error(ca):
     identity = make_identity(ca, make_name(24))
     with pytest.raises(TransportError):
         client.register_with(identity, "http://127.0.0.1:9", "ns-0")
+
+
+class _DroppingStub:
+    """Accepts connections, reads each request's head and body, and drops
+    the connection without replying."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.requests = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def url(self):
+        return "http://127.0.0.1:%d" % self.sock.getsockname()[1]
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as fh:
+                head = [fh.readline()]
+                while head[-1] not in (b"\r\n", b""):
+                    head.append(fh.readline())
+                length = next((int(line.split(b":")[1]) for line in head
+                               if line.lower().startswith(b"content-length:")), 0)
+                fh.read(length)
+                self.requests.append(head[0])
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.mark.parametrize("method,sent", [("POST", 1), ("DELETE", 1), ("GET", 2)])
+def test_only_get_is_sent_again_after_a_dropped_connection(method, sent):
+    """A write the server may have applied is never replayed: a POST or
+    DELETE whose connection drops raises TransportError after one send."""
+    stub = _DroppingStub()
+    rc = client.RegistryClient(stub.url, timeout=5)
+    try:
+        with pytest.raises(TransportError):
+            rc._request(method, "/v1/agents", None if method == "GET" else {"ts": 1})
+    finally:
+        rc.close()
+        stub.close()
+    assert len(stub.requests) == sent
+    assert all(r.startswith(method.encode() + b" ") for r in stub.requests)
 
 
 def test_discover_includes_self(server, ca):

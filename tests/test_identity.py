@@ -4,7 +4,10 @@ import os
 import random
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from ans import names
 from ans.errors import AnsError
@@ -56,6 +59,14 @@ def test_keypair_deterministic_for_seed():
 
 def test_random_keypairs_distinct():
     assert KeyPair.generate().public_key != KeyPair.generate().public_key
+
+
+def test_keypair_sign_matches_a_fresh_private_key():
+    """The cached private-key object signs exactly as one built per call."""
+    keys = KeyPair.generate(bytes(range(32)))
+    for message in (b"", b"x", os.urandom(100), bytes(5000)):
+        fresh = Ed25519PrivateKey.from_private_bytes(keys.private_key).sign(message)
+        assert keys.sign(message) == fresh == keys.sign(message)
 
 
 def test_sign_verify_self_test():
@@ -182,15 +193,66 @@ def _mutations(cert: Certificate):
         yield dataclasses.replace(cert, capability_commitments=(tampered,))
 
 
-def test_single_field_mutation_fuzz(ca):
+def _warmed_memo(chain, anchors) -> dict:
+    verified: dict = {}
+    assert validate_chain(chain, anchors, NOW, verified).ok
+    assert len(verified) == 3
+    return verified
+
+
+@pytest.mark.parametrize("memo", ["none", "warmed"])
+def test_single_field_mutation_fuzz(ca, memo):
+    """Every single-field mutation is rejected, also when the memo holds the
+    unmutated chain's three certificates."""
     _, chain = build_chain(ca)
+    verified = _warmed_memo(chain, (ca.root_cert,)) if memo == "warmed" else None
     count = 0
     for slot in ("agent", "intermediate", "root"):
         for mutated in _mutations(getattr(chain, slot)):
             candidate = dataclasses.replace(chain, **{slot: mutated})
-            assert not validate_chain(candidate, (ca.root_cert,), NOW).ok, (slot, mutated)
+            assert not validate_chain(candidate, (ca.root_cert,), NOW, verified).ok, (slot, mutated)
             count += 1
     assert count >= 20
+    if verified is not None:
+        assert len(verified) == 3  # no rejected certificate entered the memo
+
+
+def test_memo_keeps_window_and_anchor_codes(ca):
+    """A memo holding the whole chain skips its signatures, never its windows
+    or its anchor membership."""
+    _, chain = build_chain(ca, validity=DAY)
+    verified = _warmed_memo(chain, (ca.root_cert,))
+    anchors = (ca.root_cert,)
+    assert validate_chain(chain, anchors, NOW, verified).ok
+    assert validate_chain(chain, anchors, chain.agent.not_after + 1, verified).code == "CERT_EXPIRED"
+    assert validate_chain(chain, anchors, chain.agent.not_before - 1,
+                          verified).code == "CERT_NOT_YET_VALID"
+    stranger = self_signed_root(KeyPair.generate(), now=NOW)
+    assert validate_chain(chain, (stranger,), NOW, verified).code == "UNTRUSTED_ROOT"
+    assert len(verified) == 3
+
+
+def test_memo_gains_nothing_from_a_chain_that_fails(ca):
+    """Entries are added only after the whole chain validates: a bad agent
+    signature leaves the memo without the intermediate and the root too."""
+    _, chain = build_chain(ca)
+    bad = dataclasses.replace(chain.agent, signature=os.urandom(64))
+    verified: dict = {}
+    verdict = validate_chain(dataclasses.replace(chain, agent=bad), (ca.root_cert,), NOW, verified)
+    assert verdict.code == "CHAIN_INVALID" and verified == {}
+    assert validate_chain(chain, (ca.root_cert,), NOW, verified).ok
+    assert set(verified.values()) == {chain.agent, chain.intermediate, chain.root}
+
+
+def test_memo_hit_is_by_equality_not_identity(ca):
+    """A certificate decoded afresh from the same document hits the memo."""
+    _, chain = build_chain(ca)
+    verified = _warmed_memo(chain, (ca.root_cert,))
+    copy = CertificateChain.from_doc(chain.to_doc())
+    assert copy.agent is not chain.agent
+    assert validate_chain(copy, (ca.root_cert,), NOW, verified).ok
+    assert all(any(v is c for c in (chain.agent, chain.intermediate, chain.root))
+               for v in verified.values())
 
 
 # -- remaining validity -----------------------------------------------------------

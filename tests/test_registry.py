@@ -1,10 +1,16 @@
 import copy
 import dataclasses
+import os
 import random
+import sys
+import tempfile
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ans import names
+from ans import attestation, identity as identity_module, names
+from ans import registry as registry_module
 from ans.canonical import canonical_bytes, canonical_json
 from ans.client import build_registration_request
 from ans.errors import AnsError
@@ -22,14 +28,18 @@ from ans.policy import (
     evaluate,
 )
 from ans.registry import (
+    EVENT_REGISTERED,
+    EVENT_RENEWED,
     EventLog,
     RecordDecoder,
     Registry,
     RegistrationRequest,
+    RegistryEvent,
     renewal_payload,
     revocation_payload,
 )
 from conftest import NOW, make_identity, make_name
+from genutil import random_label, random_name
 
 A2A_EXAMPLE = "a2a://concept-drift-detector.concept-drift-detection.research-lab.v2.1.prod"
 
@@ -267,6 +277,9 @@ def _oracle_resolve(registry, query, now):
     out = []
     for record in registry.all_records():
         if record.status != "active" or now > record.expires_at:
+            continue
+        certs = (record.chain.agent, record.chain.intermediate, record.chain.root)
+        if not all(c.not_before <= now <= c.not_after for c in certs):
             continue
         if not matches(record.name, query):
             continue
@@ -793,3 +806,226 @@ def test_record_doc_roundtrip(registry, ca):
     from ans.registry import AgentRecord
 
     assert AgentRecord.from_doc(record.to_doc()) == record
+
+
+# -- malformed snapshots ---------------------------------------------------------------
+
+
+def test_malformed_snapshot_is_log_corrupt(tmp_path, allow_policies, ca, registry):
+    """A snapshot without records, with a record that has no name, or that is
+    not a map at all stops recovery with LOG_CORRUPT, not a bare exception."""
+    register(registry, ca, make_name(0))
+    nameless = registry.snapshot_doc()
+    del nameless["records"][0]["name"]
+    for doc in ({"last_seq": 1}, nameless, []):
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(canonical_json(doc))
+        with pytest.raises(AnsError) as err:
+            Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                             snapshot_path=str(snapshot))
+        assert err.value.code == "LOG_CORRUPT", doc
+
+
+# -- certificate windows -----------------------------------------------------------------
+
+
+def test_expired_certificate_is_hidden_and_not_renewable(registry, ca):
+    """Once the agent certificate has expired but the record's TTL has not,
+    the record neither resolves nor counts as active, and renew answers
+    CERT_EXPIRED."""
+    identity = _rotated(ca, make_identity(ca, make_name(50)), NOW, validity=600)
+    record = registry.register(build_registration_request(identity, "ns-0"), NOW)
+    key = record.name.render()
+    expired = identity.chain.agent.not_after + 1
+    assert expired < record.expires_at
+    query = NameQuery(agent_id=record.name.agent_id)
+    assert registry.resolve(query, expired - 1) == [record]
+    assert registry.resolve(query, expired) == []
+    assert registry.get_active(key, expired) is None
+    assert registry.active_records(expired) == []
+    # Before the certificate's own window opens, the record is hidden too.
+    assert registry.resolve(query, identity.chain.agent.not_before - 1) == []
+    signature = identity.identity_keys.sign(canonical_bytes(renewal_payload(key, expired)))
+    with pytest.raises(AnsError) as err:
+        registry.renew(key, expired, signature, expired)
+    assert err.value.code == "CERT_EXPIRED"
+
+
+# -- the verified-certificate memo ----------------------------------------------------------
+
+
+@pytest.fixture()
+def verifies(monkeypatch):
+    """Counts Ed25519 verifies by every module that calls ``verify_signature``."""
+    calls = []
+    real = identity_module.verify_signature
+
+    def counting(public_key, signature, message):
+        calls.append(public_key)
+        return real(public_key, signature, message)
+
+    for module in (identity_module, registry_module, attestation):
+        monkeypatch.setattr(module, "verify_signature", counting)
+    return calls
+
+
+def _attest(registry, identity, verified):
+    store = attestation.ChallengeStore()
+    record = registry.get_active(identity.name.render(), NOW)
+    capability = identity.name.capability
+    proof = attestation.prove(store.issue(identity.name, NOW), identity.capabilities[capability],
+                              identity.identity_keys, identity.name, NOW)
+    commitment = next(c for c in record.commitments if c.capability == capability)
+    return attestation.verify(proof, commitment, record.chain, registry.trust_anchors,
+                              store, NOW, verified)
+
+
+def test_memo_verify_counts(registry, ca, verifies):
+    """A rotated certificate costs 2 Ed25519 verifies to register (its own
+    signature and the request's), down from 4; attesting a record registered
+    by this process costs 2 (the proof's), down from 5."""
+    identity, _ = register(registry, ca, make_name(51))
+    assert len(verifies) == 4
+    for _ in range(3):
+        identity = _rotated(ca, identity, NOW)
+        verifies.clear()
+        registry.register(build_registration_request(identity, "ns-0"), NOW)
+        assert len(verifies) == 2
+    verifies.clear()
+    assert _attest(registry, identity, None).granted
+    assert len(verifies) == 5
+    verifies.clear()
+    assert _attest(registry, identity, registry.verified).granted
+    assert len(verifies) == 2
+
+
+def _memo_roles(registry):
+    return sorted(c.role for c in registry.verified.values())
+
+
+def test_memo_holds_stored_agents_plus_issuers(registry, ca):
+    """After N rotations of one name the memo holds one agent certificate
+    per record plus the intermediate and the root. Failed registrations add
+    nothing and leave a stored record's entry in place; the sweep keeps
+    only what the remaining records hold."""
+    identity, _ = register(registry, ca, make_name(52))
+    for _ in range(5):
+        identity = _rotated(ca, identity, NOW)
+        registry.register(build_registration_request(identity, "ns-0"), NOW)
+    register(registry, ca, make_name(53), now=NOW + 10)
+    assert _memo_roles(registry) == ["agent", "agent", "intermediate", "root"]
+    stored = dict(registry.verified)
+
+    failing = [
+        # bad request signature, under a fresh and under the stored certificate
+        dataclasses.replace(build_registration_request(_rotated(ca, identity, NOW), "ns-0"),
+                            endpoint="elsewhere"),
+        dataclasses.replace(build_registration_request(identity, "ns-0"), endpoint="elsewhere"),
+        # another DID for a taken name
+        build_registration_request(make_identity(ca, make_name(52)), "ns-0"),
+        # denied by policy
+        build_registration_request(make_identity(ca, make_name(54, env="forbidden")), "ns-0"),
+    ]
+    for request in failing:
+        with pytest.raises(AnsError):
+            registry.register(request, NOW)
+        assert registry.verified == stored
+
+    assert registry.sweep_expired(NOW + registry.record_ttl_seconds + 5) == 1
+    assert _memo_roles(registry) == ["agent", "intermediate", "root"]
+    assert registry.sweep_expired(NOW + registry.record_ttl_seconds + 20) == 1
+    assert _memo_roles(registry) == ["intermediate", "root"]
+
+
+def test_memo_under_concurrent_writers_and_sweeps(ca, allow_policies):
+    """Validations add memo entries outside the registry lock while stores,
+    failed registrations and sweeps drop entries under it. With more threads
+    than cores and a short switch interval, no thread fails, and a final
+    sweep leaves exactly the issuers and the stored agents' certificates."""
+    registry = Registry(policies=allow_policies, trust_anchors=ca.anchors)
+    chains = []
+    for i in range(4):
+        identity = make_identity(ca, make_name(70 + i))
+        chains.append([identity] + [identity := _rotated(ca, identity, NOW) for _ in range(5)])
+    bad = [dataclasses.replace(build_registration_request(make_identity(ca, make_name(80 + i)),
+                                                          "ns-0"), endpoint="elsewhere")
+           for i in range(6)]
+    errors = []
+
+    def writer(identities):
+        for identity in identities:
+            registry.register(build_registration_request(identity, "ns-0"), NOW)
+            assert _attest(registry, identity, registry.verified).granted
+
+    def failing():
+        for request in bad:
+            with pytest.raises(AnsError):
+                registry.register(request, NOW)
+
+    def sweeper():
+        for _ in range(200):
+            registry.sweep_expired(NOW)
+
+    def run(target, *args):
+        try:
+            target(*args)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(writer, c)) for c in chains]
+        threads += [threading.Thread(target=run, args=(f,)) for f in (failing, sweeper)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    registry.sweep_expired(NOW)
+    expected = {c.chain.agent for c in (cs[-1] for cs in chains)} | {ca.intermediate_cert,
+                                                                     ca.root_cert}
+    assert set(registry.verified.values()) == expected
+    assert len(registry.verified) == len(expected)
+
+
+# -- one encoding per written record -----------------------------------------------------
+
+ALLOW_ALL = [Policy(id="allow-all", description="admit everything",
+                    rules=(PolicyRule(id="allow", effect="allow"),))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), endpoint=st.text(max_size=40),
+       extra=st.lists(st.integers(0, 2**32 - 1), max_size=3))
+def test_logged_and_served_bytes_are_canonical_json(ca, seed, endpoint, extra):
+    """The Registered line embeds the record's one encoding, and the bytes a
+    register or renew reply carries equal ``canonical_json`` of the same
+    document, over random names, endpoints and capability sets."""
+    rng = random.Random(seed)
+    name = random_name(rng)
+    capabilities = tuple(random_label(random.Random(e)) for e in extra)
+    identity = make_identity(ca, name, extra_caps=capabilities, endpoint=endpoint)
+    namespace = random_label(rng)
+    key = name.render()
+    with tempfile.TemporaryDirectory() as workdir:
+        log_path = os.path.join(workdir, "events.log")
+        registry = Registry.recover(policies=ALLOW_ALL, trust_anchors=ca.anchors,
+                                    log_path=log_path, fsync=False)
+        record = registry.register(build_registration_request(identity, namespace), NOW)
+        signature = identity.identity_keys.sign(canonical_bytes(renewal_payload(key, NOW + 1)))
+        renewed = registry.renew(key, NOW + 1, signature, NOW + 1)
+        registry.close()
+        with open(log_path, "rb") as fh:
+            lines = fh.read().splitlines()
+    assert lines == [
+        canonical_json(RegistryEvent(1, EVENT_REGISTERED, {"record": record.to_doc()},
+                                     NOW).to_doc()).encode(),
+        canonical_json(RegistryEvent(2, EVENT_RENEWED, {"name": key, "expires_at":
+                                     renewed.expires_at}, NOW + 1).to_doc()).encode(),
+    ]
+    assert record.doc_bytes == canonical_json(record.to_doc()).encode()
+    assert renewed.doc_bytes == canonical_json(renewed.to_doc()).encode()

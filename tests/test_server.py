@@ -1,5 +1,8 @@
+import dataclasses
 import http.client
 import json
+import re
+import socket
 import time
 import urllib.parse
 import urllib.request
@@ -12,6 +15,7 @@ from ans.canonical import canonical_bytes, canonical_json
 from ans.client import RegistryClient, build_registration_request
 from ans.errors import ERROR_CODES, AnsError
 from ans.policy import policies_to_doc
+from ans.identity import ROLE_AGENT, issue_certificate
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
 from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig, query_from_params
 from conftest import NOW, make_identity, make_name
@@ -414,3 +418,162 @@ def test_unknown_route_404(server):
         assert False
     except urllib.error.HTTPError as err:
         assert err.code == 404
+
+
+# -- register and renew replies ------------------------------------------------------------
+
+
+def _raw_post(server, path, body: dict) -> tuple[int, bytes]:
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request("POST", path, body=json.dumps(body).encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def test_register_and_renew_replies_are_canonical_json_of_the_record(server, ca):
+    identity = make_identity(ca, make_name(60))
+    status, body = _raw_post(server, "/v1/agents",
+                             build_registration_request(identity, "ns-0").to_doc())
+    key = identity.name.render()
+    stored = server.registry.get_active(key, server.now())
+    assert status == 201 and body == canonical_json(stored.to_doc()).encode()
+    ts = server.now()
+    signature = identity.identity_keys.sign(canonical_bytes(renewal_payload(key, ts)))
+    status, body = _raw_post(server, f"/v1/agents/{urllib.parse.quote(key, safe='')}/renew",
+                             {"ts": ts, "signature": signature.hex()})
+    renewed = server.registry.get_active(key, server.now())
+    assert status == 200 and body == canonical_json(renewed.to_doc()).encode()
+
+
+# -- certificate windows over the wire -------------------------------------------------------
+
+
+def test_expired_agent_certificate_hidden_on_the_wire(tmp_path, ca, allow_policies):
+    """After the agent certificate expires, inside the record's TTL, resolve
+    leaves the agent out, /v1/challenge answers 404 and renew CERT_EXPIRED."""
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(canonical_json([ca.root_cert.to_doc()]))
+    policy = tmp_path / "policy.json"
+    policy.write_text(canonical_json(policies_to_doc(allow_policies)))
+    clock = [float(NOW)]
+    server = AnsServer(ServerConfig(listen="127.0.0.1:0", anchors_path=str(anchors),
+                                    policy_path=str(policy), fsync=False),
+                       clock=lambda: clock[0])
+    server.start()
+    rc = RegistryClient(server.url)
+    try:
+        identity = make_identity(ca, make_name(61, capability="cap-exp"))
+        cert = issue_certificate(
+            ca.intermediate_keys, ca.intermediate_cert, identity.identity_keys.public_key,
+            ROLE_AGENT, 600, subject_name=identity.name,
+            commitments=identity.commitments(), now=NOW)
+        identity = dataclasses.replace(
+            identity, chain=dataclasses.replace(identity.chain, agent=cert))
+        rc.post("/v1/agents", build_registration_request(identity, "ns-0").to_doc())
+        key = identity.name.render()
+        assert [r["name"] for r in rc.get("/v1/resolve?capability=cap-exp")] == [key]
+
+        clock[0] = cert.not_after + 1
+        assert rc.get("/v1/resolve?capability=cap-exp") == []
+        with pytest.raises(AnsError) as err:
+            rc.post("/v1/challenge", {"name": key})
+        assert err.value.code == "UNKNOWN_AGENT"
+        ts = server.now()
+        signature = identity.identity_keys.sign(canonical_bytes(renewal_payload(key, ts)))
+        with pytest.raises(AnsError) as err:
+            rc.post(f"/v1/agents/{urllib.parse.quote(key, safe='')}/renew",
+                    {"ts": ts, "signature": signature.hex()})
+        assert err.value.code == "CERT_EXPIRED"
+    finally:
+        rc.close()
+        server.shutdown()
+
+
+# -- request parsing ----------------------------------------------------------------------
+
+HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _read_response(fh) -> tuple[int, dict, bytes]:
+    first = fh.readline()
+    if not first.startswith(b"HTTP/"):  # an HTTP/0.9-style error page, then close
+        page = first + fh.read()
+        return int(re.search(rb"Error code: (\d+)", page).group(1)), {}, page
+    status = int(first.split()[1])
+    headers = {}
+    while (line := fh.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, fh.read(int(headers.get("content-length", 0)))
+
+
+def _headers(count: int) -> bytes:
+    return b"".join(b"X-H%d: v\r\n" % i for i in range(count))
+
+
+# (request bytes, status, connection stays open). Requests the server
+# refuses part-way end where it stops reading, so no unread bytes are left
+# to turn its close into a reset.
+PARSE_CASES = {
+    "header-line-too-long": (b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * (65537 - 8),
+                             431, False),
+    "100-headers": (b"GET /v1/healthz HTTP/1.1\r\n" + _headers(100) + b"\r\n", 200, True),
+    "101-headers": (b"GET /v1/healthz HTTP/1.1\r\n" + _headers(101), 431, False),
+    "request-line-too-long": (b"GET /" + b"a" * 65532, 414, False),
+    "http-1.0": (b"GET /v1/healthz HTTP/1.0\r\n\r\n", 200, False),
+    "http-1.0-keep-alive": (b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                            200, True),
+    "connection-close": (b"GET /v1/healthz HTTP/1.1\r\nConnection: Close\r\n\r\n", 200, False),
+    "http-2": (b"GET /v1/healthz HTTP/2.0\r\n", 505, False),
+    "bad-version": (b"GET /v1/healthz HTTP/1.x\r\n", 400, False),
+    "superscript-version": (b"GET /v1/healthz HTTP/1.\xb2\r\n", 400, False),
+    "bad-request-line": (b"GET\r\n", 400, False),
+    "content-length-conflict": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 2\r\n"
+                                b"Content-Length: 3\r\n", 400, False),
+    "content-length-repeated": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 2\r\n"
+                                b"content-length: 2\r\n\r\n{}", 400, True),
+    "header-case": (b"POST /v1/challenge HTTP/1.1\r\nCONTENT-length: 11\r\n\r\n"
+                    b'{"name":""}', 404, True),
+    "no-colon": (b"GET /v1/healthz HTTP/1.1\r\nHost x\r\n", 400, False),
+    "space-before-colon": (b"GET /v1/healthz HTTP/1.1\r\nHost : x\r\n", 400, False),
+    "folded-line": (b"GET /v1/healthz HTTP/1.1\r\nX-A: 1\r\n  2\r\n", 400, False),
+}
+
+
+@pytest.mark.parametrize("request_bytes,status,stays_open", PARSE_CASES.values(),
+                         ids=PARSE_CASES.keys())
+def test_request_parsing(server, request_bytes, status, stays_open):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request_bytes)
+        fh = sock.makefile("rb")
+        assert _read_response(fh)[0] == status
+        if stays_open:
+            sock.sendall(HEALTHZ)
+            assert _read_response(fh)[::2] == (200, b"ok")
+        else:
+            assert fh.read(1) == b""
+
+
+def test_expect_100_continue_gets_interim_reply(server):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 11\r\n"
+                     b"Expect: 100-continue\r\n\r\n")
+        fh = sock.makefile("rb")
+        assert fh.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert fh.readline() == b"\r\n"
+        sock.sendall(b'{"name":""}')
+        status, _, body = _read_response(fh)
+        assert status == 404 and json.loads(body)["error"] == "UNKNOWN_AGENT"
+
+
+def test_keep_alive_serves_twenty_requests_on_one_connection(server):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        fh = sock.makefile("rb")
+        for _ in range(20):
+            sock.sendall(HEALTHZ)
+            assert _read_response(fh)[::2] == (200, b"ok")
