@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import secrets
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import names
@@ -102,6 +103,9 @@ class ChallengeStore:
     """Outstanding challenges keyed by nonce, with atomic single consumption.
 
     Capped; when full, expired entries are evicted first, then the oldest.
+    Entries are kept in issue order and share one TTL, so for a clock that
+    does not go backwards the oldest entry is also the first to expire, and
+    eviction pops from the front only: O(1) amortized per issue.
     """
 
     def __init__(self, ttl_seconds: int = CHALLENGE_TTL_S,
@@ -109,7 +113,9 @@ class ChallengeStore:
         self.ttl_seconds = ttl_seconds
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._outstanding: dict[bytes, Challenge] = {}
+        # Ordered: popping the front of a plain dict rescans the slots
+        # already emptied there, which makes each pop O(n).
+        self._outstanding: OrderedDict[bytes, Challenge] = OrderedDict()
 
     def issue(self, audience: names.AnsName | str, now: int) -> Challenge:
         rendered = audience.render() if isinstance(audience, names.AnsName) else audience
@@ -131,13 +137,14 @@ class ChallengeStore:
             return self._outstanding.pop(nonce, None)
 
     def _evict(self, now: int) -> None:
-        # Called with the lock held.
-        expired = [n for n, c in self._outstanding.items() if c.expires_at < now]
-        for nonce in expired:
-            del self._outstanding[nonce]
-        while len(self._outstanding) >= self.max_entries:
-            oldest = next(iter(self._outstanding))
-            del self._outstanding[oldest]
+        """Pop the oldest entry while it has expired or the store is full;
+        called with the lock held."""
+        outstanding = self._outstanding
+        while outstanding:
+            oldest = next(iter(outstanding.values()))
+            if oldest.expires_at >= now and len(outstanding) < self.max_entries:
+                return
+            outstanding.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:

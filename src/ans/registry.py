@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -53,6 +55,13 @@ CONTROL_TS_WINDOW_S = 300
 
 # Name fields with a posting list; ``AnsName`` and ``NameQuery`` share them.
 INDEXED_FIELDS = ("protocol", "agent_id", "capability", "provider", "extension")
+
+# The answer cache's limit, in 8-byte references: an answer costs one per
+# record it lists plus ANSWER_ENTRY_REFS for its query, window and map slot
+# (about 340 bytes for a one-field query on CPython 3.11), so a full cache
+# holds about 0.5 MB however the queries are spread.
+ANSWER_CACHE_REFS = 1 << 16
+ANSWER_ENTRY_REFS = 64
 
 STATUS_ACTIVE = "active"
 STATUS_REVOKED = "revoked"
@@ -353,6 +362,20 @@ class Registry:
       the key drops it, ``set_policies`` clears them all, and entries are
       filled by the first resolve that needs them.
 
+    In front of both sits the answer cache: query -> (since, until, records),
+    the answer ``resolve`` returned at clock ``since``, filtered, grouped for
+    ``latest`` and sorted. It is served for a clock in ``[since, until)``.
+    ``until`` is the earliest ``serve_until + 1`` of any hit (taken before
+    ``latest`` drops older versions) and ``serve_from`` of any candidate not
+    yet servable; no other time bound is needed, as runtime verdicts do not
+    depend on the clock. Every ``_store`` (register, renew, revoke, replay,
+    snapshot load), ``set_policies`` and a ``sweep_expired`` that removes a
+    record drop the whole cache and bump a write counter; an answer is stored
+    only if the counter has not moved since its candidate walk began, so an
+    answer computed before a write is never stored after it. The cache holds
+    at most ``ANSWER_CACHE_REFS`` references, counting ``ANSWER_ENTRY_REFS``
+    more for each answer, and evicts its oldest answers first.
+
     ``verified`` is the ``validate_chain`` memo for register and attest: the
     certificates whose signatures this process has verified. It holds the
     issuers plus at most one agent certificate per stored record, since
@@ -380,6 +403,10 @@ class Registry:
         self._records: dict[str, AgentRecord] = {}
         self._postings: dict[str, dict[str, set[str]]] = {f: {} for f in INDEXED_FIELDS}
         self._verdicts: dict[str, tuple[AgentRecord, bool]] = {}
+        self._answers: OrderedDict[NameQuery, tuple[int, float, tuple[AgentRecord, ...]]] = \
+            OrderedDict()
+        self._answer_refs = 0
+        self._writes = 0
         self.verified: dict[tuple[bytes, bytes], Certificate] = {}
         self.last_seq = 0
 
@@ -410,6 +437,7 @@ class Registry:
         with self._lock:
             self._policies = tuple(policies)
             self._verdicts.clear()
+            self._drop_answers()
 
     # -- index maintenance ---------------------------------------------------
 
@@ -427,11 +455,18 @@ class Registry:
             if not members:
                 del postings[value]
 
+    def _drop_answers(self) -> None:
+        """Forget every cached answer after a write; callers hold the lock."""
+        self._answers.clear()
+        self._answer_refs = 0
+        self._writes += 1
+
     def _store(self, key: str, record: AgentRecord) -> None:
         """Put a record under its key, keeping the posting lists (which hold
-        only non-revoked records), the verdict memo and the verified memo in
-        step. Every record under one key has the same name, so only a status
-        change moves it."""
+        only non-revoked records), the verdict memo, the answer cache and the
+        verified memo in step. Every record under one key has the same name,
+        so only a status change moves it."""
+        self._drop_answers()
         existing = self._records.get(key)
         was_listed = existing is not None and existing.status == STATUS_ACTIVE
         listed = record.status == STATUS_ACTIVE
@@ -511,6 +546,18 @@ class Registry:
                     self._forget_agent(request.chain)
             raise
 
+    def _with_verified_issuers(self, chain: CertificateChain) -> CertificateChain:
+        """A chain that ``validate_chain`` passed, with its intermediate and
+        root swapped for the field-equal objects the verified memo holds, so
+        records registered over the wire share one object per issuer, as
+        recovered ones do."""
+        root_key = chain.root.public_key
+        inter = self.verified.get((root_key, chain.intermediate.signature))
+        root = self.verified.get((root_key, chain.root.signature))
+        if inter != chain.intermediate or root != chain.root:
+            return chain
+        return CertificateChain(chain.agent, inter, root)
+
     def _admit(self, parsed: AnsName, request: RegistrationRequest, now: int) -> AgentRecord:
         """Everything ``register`` checks after the chain, then the write."""
         agent_cert = request.chain.agent
@@ -536,7 +583,7 @@ class Registry:
             name=parsed,
             did=agent_cert.subject_did,
             endpoint=request.endpoint,
-            chain=request.chain,
+            chain=self._with_verified_issuers(request.chain),
             commitments=tuple(sorted(request.commitments, key=lambda c: c.capability)),
             namespace=request.namespace,
             registered_at=now,
@@ -633,8 +680,14 @@ class Registry:
         """Active, unexpired, policy-allowed records matching the query,
         sorted by version descending then name ascending. ``latest`` keeps
         only the highest version per (agent_id, capability, provider,
-        extension) group."""
+        extension) group. A repeated query is answered from the answer cache
+        while no write intervenes and the clock stays inside the answer's
+        window; each call returns a fresh list."""
         with self._lock:
+            cached = self._answers.get(query)
+            if cached is not None and cached[0] <= now < cached[1]:
+                return list(cached[2])
+            writes = self._writes
             lists = [self._postings[field].get(value, ())
                      for field in INDEXED_FIELDS
                      if (value := getattr(query, field)) is not None]
@@ -642,12 +695,16 @@ class Registry:
                 candidates = [(k, self._records[k]) for k in min(lists, key=len)]
             else:
                 candidates = self._records.items()
-            hits = [
-                (k, r) for k, r in candidates
-                if self._visible(r, now)
-                and names.matches(r.name, query)
-                and self._runtime_allowed(k, r, now)
-            ]
+            until = math.inf
+            hits = []
+            for k, r in candidates:
+                if self._visible(r, now):
+                    if names.matches(r.name, query) and self._runtime_allowed(k, r, now):
+                        hits.append((k, r))
+                        if r.serve_until < until:
+                            until = r.serve_until + 1
+                elif r.status == STATUS_ACTIVE and now < r.serve_from < until:
+                    until = r.serve_from
         if query.version_req is not None and query.version_req.kind == names.LATEST:
             best: dict[tuple, names.Version] = {}
             for _, record in hits:
@@ -664,7 +721,27 @@ class Registry:
                 ) == 0
             ]
         hits.sort(key=lambda kr: (tuple(-v for v in kr[1].name.version.sort_key()), kr[0]))
-        return [r for _, r in hits]
+        records = [r for _, r in hits]
+        with self._lock:
+            if self._writes == writes:
+                self._cache_answer(query, now, until, tuple(records))
+        return records
+
+    def _cache_answer(self, query: NameQuery, since: int, until: float,
+                      answer: tuple[AgentRecord, ...]) -> None:
+        """Store an answer, evicting the oldest until the references fit;
+        callers hold the lock."""
+        refs = len(answer) + ANSWER_ENTRY_REFS
+        if refs > ANSWER_CACHE_REFS:
+            return
+        replaced = self._answers.pop(query, None)
+        if replaced is not None:
+            self._answer_refs -= len(replaced[2]) + ANSWER_ENTRY_REFS
+        while self._answer_refs + refs > ANSWER_CACHE_REFS:
+            _, (_, _, evicted) = self._answers.popitem(last=False)
+            self._answer_refs -= len(evicted) + ANSWER_ENTRY_REFS
+        self._answers[query] = (since, until, answer)
+        self._answer_refs += refs
 
     def sweep_expired(self, now: int) -> int:
         """Drop expired records from memory. Resolution already excludes them
@@ -679,6 +756,8 @@ class Registry:
                     self._index_remove(key, record.name)
                 self._verdicts.pop(key, None)
                 removed += 1
+            if removed:
+                self._drop_answers()
             stored = {(r.chain.intermediate.public_key, r.chain.agent.signature): r.chain.agent
                       for r in self._records.values()}
             # A copy: validations outside the lock may add entries meanwhile.

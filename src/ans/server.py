@@ -374,9 +374,9 @@ class _Handler(BaseHTTPRequestHandler):
         505 for HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes
         the connection, and ``Expect: 100-continue`` gets its interim reply.
         Beyond the stdlib, a malformed header line and two different
-        ``Content-Length`` values get 400, and the 505 reply carries a status
-        line. As in the stdlib, a malformed request line is answered with a
-        bare error page, HTTP/0.9 style."""
+        ``Content-Length`` values get 400, and a malformed request line gets
+        a 400 with a status line and ``Connection: close`` rather than a bare
+        error page, HTTP/0.9 style."""
         self.command = None
         self.request_version = self.default_request_version
         self.close_connection = True
@@ -387,8 +387,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(words) >= 3:
             number = _version_number(words[-1])
             if number is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
-                return False
+                return self._refuse_request_line(f"Bad request version ({words[-1]!r})")
             self.request_version = words[-1]
             if number >= (2, 0):
                 self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
@@ -396,14 +395,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return False
             self.close_connection = number < (1, 1)
         if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
-            return False
+            return self._refuse_request_line(f"Bad request syntax ({self.requestline!r})")
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
+                return self._refuse_request_line(f"Bad HTTP/0.9 request type ({command!r})")
         self.command = command
         # As the stdlib does: '//host/x' would read as a scheme-relative URL.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -440,6 +437,14 @@ class _Handler(BaseHTTPRequestHandler):
                 and self.request_version >= "HTTP/1.1"):
             return self.handle_expect_100()
         return True
+
+    def _refuse_request_line(self, message: str) -> bool:
+        """Answer a malformed request line with a 400 that carries a status
+        line and ``Connection: close``; the stdlib writes those only once a
+        request's version is known to be above HTTP/0.9."""
+        self.request_version = self.protocol_version
+        self.send_error(HTTPStatus.BAD_REQUEST, message)
+        return False
 
     def _read_body(self) -> dict:
         length = self.headers.get("Content-Length", "0")

@@ -1,3 +1,4 @@
+import random
 import threading
 
 import pytest
@@ -63,6 +64,57 @@ def test_challenge_store_caps_entries():
     for i in range(80):
         store.issue(make_name(0), NOW + i)
     assert len(store) <= 50
+
+
+def test_challenge_store_evicts_expired_then_oldest():
+    """At the cap, expired entries go first and then the oldest; the store
+    never holds more than its cap, and a consumed nonce stays consumed."""
+    store = ChallengeStore(ttl_seconds=10, max_entries=8)
+
+    def issue(now):
+        challenge = store.issue(make_name(0), now)
+        assert len(store) <= 8
+        return challenge.nonce
+
+    early = [issue(NOW) for _ in range(5)]  # expire at NOW + 10
+    late = [issue(NOW + 5) for _ in range(3)]  # expire at NOW + 15
+    assert store.consume(late[0]).nonce == late[0]
+    middle = issue(NOW + 6)
+    assert list(store._outstanding) == early + late[1:] + [middle]  # 8: full
+    at_ten = issue(NOW + 10)  # expiring at the clock is not yet expired
+    assert list(store._outstanding) == early[1:] + late[1:] + [middle, at_ten]
+    after = issue(NOW + 11)  # the four early ones left have expired, nothing else goes
+    assert list(store._outstanding) == late[1:] + [middle, at_ten, after]
+    more = [issue(NOW + 12) for _ in range(3)]
+    assert len(store) == 8
+    last = issue(NOW + 12)  # none expired: only the oldest goes
+    assert list(store._outstanding) == [late[2], middle, at_ten, after, *more, last]
+    for nonce in (late[0], *early, late[1]):
+        assert store.consume(nonce) is None
+
+
+def test_challenge_store_eviction_matches_a_full_scan():
+    """For a clock that never goes backwards, popping from the front evicts
+    exactly what the former scan did: every expired entry, then the oldest."""
+    rng = random.Random(71)
+    store = ChallengeStore(ttl_seconds=20, max_entries=16)
+    model: dict[bytes, int] = {}  # nonce -> expires_at, in issue order
+    now = NOW
+    for _ in range(2000):
+        now += rng.choice((0, 0, 1, 3))
+        if model and rng.random() < 0.3:
+            nonce = rng.choice(list(model))
+            del model[nonce]
+            assert store.consume(nonce) is not None
+            continue
+        if len(model) >= 16:
+            for nonce in [n for n, expires in model.items() if expires < now]:
+                del model[nonce]
+            while len(model) >= 16:
+                del model[next(iter(model))]
+        challenge = store.issue(make_name(0), now)
+        model[challenge.nonce] = challenge.expires_at
+        assert list(store._outstanding) == list(model)
 
 
 def test_prove_rejects_expired_challenge(actor):

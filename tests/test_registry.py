@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import os
 import random
 import sys
 import tempfile
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,7 +16,14 @@ from ans import registry as registry_module
 from ans.canonical import canonical_bytes, canonical_json
 from ans.client import build_registration_request
 from ans.errors import AnsError
-from ans.identity import AGENT_VALIDITY_S, ROLE_AGENT, Certificate, KeyPair, issue_certificate
+from ans.identity import (
+    AGENT_VALIDITY_S,
+    ROLE_AGENT,
+    Certificate,
+    KeyPair,
+    issue_certificate,
+    window_error,
+)
 from ans.names import NameQuery, Version, VersionRequirement, matches
 from ans.harness import harness_policies
 from ans.policy import (
@@ -378,7 +387,7 @@ def _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now):
                 validity = rng.choice((AGENT_VALIDITY_S, SHORT_VALIDITY_S))
                 identity = _rotated(ca, identities[key], now, validity)
             else:
-                identity = make_identity(ca, name)
+                identity = make_identity(ca, name, now=now)
             registry.register(build_registration_request(identity, namespace), now)
             identities[key] = identity
         elif action < 0.55:
@@ -395,16 +404,53 @@ def _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now):
         elif action < 0.9:
             registry.sweep_expired(now)
     except AnsError as exc:
-        # admission under a narrow set, renewing a revoked record, or a
-        # control message for a record the sweep removed
-        assert exc.code in ("POLICY_DENIED", "REVOKED", "UNKNOWN_AGENT"), exc
+        # admission under a narrow set, renewing a revoked record or one
+        # whose certificate window excludes the clock, or a control message
+        # for a record the sweep removed
+        assert exc.code in ("POLICY_DENIED", "REVOKED", "UNKNOWN_AGENT",
+                            "CERT_EXPIRED", "CERT_NOT_YET_VALID"), exc
+
+
+# Latest end of an agent certificate the lifecycle clock jumps to, so every
+# certificate issued afterwards still fits inside the intermediate's year.
+JUMP_LIMIT_S = 250 * 86400
+
+
+def _move_clock(registry, rng, identities, now):
+    """The next lifecycle clock: mostly a small step forward; sometimes a
+    step back, so certificates issued in the last minutes are seen before
+    their ``not_before``; sometimes a jump to shortly before the end of a 30-
+    or 90-day agent certificate, where every record whose certificates allow
+    it renews, so later small steps carry a record still inside its TTL past
+    its certificate's ``not_after``."""
+    move = rng.random()
+    if move < 0.08:
+        return max(NOW, now - rng.choice((60, 300, 1200)))
+    ends: dict[int, list[int]] = {}  # validity -> ends, so 30-day ones get jumps too
+    for record in registry.all_records():
+        agent = record.chain.agent
+        if record.status == "active" and agent.not_after <= NOW + JUMP_LIMIT_S:
+            ends.setdefault(agent.not_after - agent.not_before, []).append(agent.not_after)
+    if move < 0.14 and ends:
+        now = rng.choice(ends[rng.choice(sorted(ends))]) - rng.randrange(0, 600)
+        for record in registry.all_records():
+            key = record.name.render()
+            if record.status == "active" and window_error(record.chain, now) is None:
+                sig = identities[key].identity_keys.sign(
+                    canonical_bytes(renewal_payload(key, now)))
+                registry.renew(key, now, sig, now)
+        return now
+    return now + rng.choice((0, 10, 60, 300))
 
 
 def test_resolve_matches_oracle_through_lifecycle_and_policy_swaps(ca):
-    """Posting lists and memoized runtime verdicts answer exactly as a linear
-    scan does while records are renewed, rotated, revoked, expire and are
-    swept, and while the policy set is swapped: after every step, every query
-    kind (one field, two fields, none) equals the oracle."""
+    """Posting lists, memoized runtime verdicts and the answer cache answer
+    exactly as a linear scan does while records are renewed, rotated,
+    revoked, expire and are swept, while the policy set is swapped, and while
+    the clock jumps across 30- and 90-day certificate windows and steps back
+    before certificates begin: after every step, every query kind (one field,
+    two fields, none) equals the oracle. Some steps write nothing, so cached
+    answers meet a moved clock."""
     rng = random.Random(62)
     policy_sets = _policy_sets()
     registry = Registry(policies=policy_sets[0], trust_anchors=ca.anchors,
@@ -423,10 +469,12 @@ def test_resolve_matches_oracle_through_lifecycle_and_policy_swaps(ca):
     every = NameQuery(version_req=VersionRequirement.at_least(Version(0, 0)))
     identities = {name.render(): register(registry, ca, name)[0] for name in pool}
     now = NOW
-    hits = denied = expired = 0
-    for step in range(120):
-        now += rng.choice((0, 10, 60, 300))  # records outlive about 40 steps unrenewed
-        _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now)
+    hits = denied = expired = before_cert = 0
+    past_cert = {SHORT_VALIDITY_S: 0, AGENT_VALIDITY_S: 0}
+    for step in range(300):
+        now = _move_clock(registry, rng, identities, now)  # TTL: about 40 small steps
+        if rng.random() < 0.75:
+            _lifecycle_step(registry, ca, rng, pool, identities, policy_sets, now)
         assert registry.audit_index(), step
         queries = [NameQuery(agent_id=n.agent_id) for n in rng.sample(pool, 3)]
         queries += [NameQuery(provider=f"prov-{p}", extension=env)
@@ -439,8 +487,18 @@ def test_resolve_matches_oracle_through_lifecycle_and_policy_swaps(ca):
             assert answer == _oracle_resolve(registry, query, now), (step, query)
             hits += len(answer)
         denied += len(registry.active_records(now)) - len(registry.resolve(every, now))
-        expired += sum(r.status == "active" and now > r.expires_at for r in registry.all_records())
-    assert hits > 3000 and denied > 200 and expired > 100  # none of them vacuous
+        for r in registry.all_records():
+            if r.status != "active":
+                continue
+            agent = r.chain.agent
+            expired += now > r.expires_at
+            if now <= r.expires_at and now > agent.not_after:
+                past_cert[agent.not_after - agent.not_before] += 1
+            before_cert += now <= r.expires_at and now < agent.not_before
+    # none of them vacuous: hits, policy denials, TTL expiry, and records
+    # inside their TTL but past a 30- or 90-day certificate or before one
+    assert hits > 3000 and denied > 200 and expired > 100, (hits, denied, expired)
+    assert min(past_cert.values()) > 5 and before_cert > 20, (past_cert, before_cert)
 
 
 def test_runtime_verdicts_follow_policy_swaps_and_writes(ca):
@@ -1029,3 +1087,219 @@ def test_logged_and_served_bytes_are_canonical_json(ca, seed, endpoint, extra):
     ]
     assert record.doc_bytes == canonical_json(record.to_doc()).encode()
     assert renewed.doc_bytes == canonical_json(renewed.to_doc()).encode()
+
+
+# -- wire registrations share issuers --------------------------------------------------
+
+
+def test_wire_registrations_share_issuer_certificates(registry, ca):
+    """Each registration decoded from its document brings its own issuer
+    objects; the stored records hold the verified memo's instead, so 50 of
+    them keep one intermediate and one root."""
+    for i in range(50):
+        identity = make_identity(ca, make_name(i, capability="cap-share"))
+        request = build_registration_request(identity, "ns-0")
+        registry.register(RegistrationRequest.from_doc(request.to_doc()), NOW)
+    records = registry.all_records()
+    assert len(records) == 50
+    assert len({id(r.chain.intermediate) for r in records}) == 1
+    assert len({id(r.chain.root) for r in records}) == 1
+    held = [c for c in registry.verified.values() if c.role != ROLE_AGENT]
+    assert sorted(id(c) for c in held) == sorted(
+        (id(records[0].chain.intermediate), id(records[0].chain.root)))
+
+
+# -- the answer cache ------------------------------------------------------------------
+
+
+@pytest.fixture()
+def matches_calls(monkeypatch):
+    """Names the registry passes to ``names.matches``."""
+    calls = []
+    real = names.matches
+    monkeypatch.setattr(names, "matches", lambda name, query: calls.append(name) or
+                        real(name, query))
+    return calls
+
+
+def test_repeated_resolve_is_answered_from_the_cache(registry, ca, matches_calls):
+    """With no write in between, a repeated query walks no candidate: it
+    calls ``names.matches`` zero times and returns a fresh list equal to the
+    first answer."""
+    for i in range(6):
+        register(registry, ca, make_name(i, capability="cap-cache"))
+    query = NameQuery(capability="cap-cache", extension="prod")
+    first = registry.resolve(query, NOW)
+    assert len(first) == 6 and len(matches_calls) == 6
+    matches_calls.clear()
+    second = registry.resolve(query, NOW + 60)
+    assert matches_calls == [] and second == first and second is not first
+    second.clear()
+    assert registry.resolve(query, NOW + 60) == first
+    assert matches_calls == []
+
+
+def _answer_battery():
+    queries = [NameQuery(capability=f"cap-{c}") for c in range(3)]
+    queries += [NameQuery(capability=f"cap-{c}", version_req=VersionRequirement.latest())
+                for c in range(3)]
+    queries += [NameQuery(provider=f"prov-{p}", extension="prod") for p in range(5)]
+    queries += [NameQuery(version_req=VersionRequirement.at_least(Version(0, 0)))]
+    return queries
+
+
+def _assert_battery_matches_oracle(registry, now, label):
+    """Every battery query, asked twice so the second answer may come from
+    the cache, equals the oracle."""
+    for query in _answer_battery():
+        expected = _oracle_resolve(registry, query, now)
+        assert registry.resolve(query, now) == expected, (label, query)
+        assert registry.resolve(query, now) == expected, (label, query)
+
+
+def test_answer_cache_follows_every_write(tmp_path, allow_policies, ca):
+    """After a fresh and a rotated register, a renew, a revoke, policy swaps,
+    a sweep and recovery, the next answer to every query equals the
+    linear-scan oracle, though each query was cached just before."""
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    identities = {}
+    for i in range(12):
+        name = make_name(i, capability=f"cap-{i % 3}", version=Version(1, i % 2))
+        identities[name.render()] = register(registry, ca, name)[0]
+    keys = sorted(identities)
+    now = NOW
+    _assert_battery_matches_oracle(registry, now, "start")
+
+    register(registry, ca, make_name(20, capability="cap-0", version=Version(1, 5)))
+    _assert_battery_matches_oracle(registry, now, "fresh register")
+    rotated = _rotated(ca, identities[keys[0]], now, SHORT_VALIDITY_S)
+    registry.register(build_registration_request(rotated, "ns-4"), now)
+    _assert_battery_matches_oracle(registry, now, "rotated register")
+
+    now += 60
+    sig = identities[keys[1]].identity_keys.sign(canonical_bytes(renewal_payload(keys[1], now)))
+    registry.renew(keys[1], now, sig, now)
+    _assert_battery_matches_oracle(registry, now, "renew")
+    sig = identities[keys[2]].identity_keys.sign(
+        canonical_bytes(revocation_payload(keys[2], now)))
+    registry.revoke(keys[2], now, sig, now)
+    _assert_battery_matches_oracle(registry, now, "revoke")
+    for i, policies in enumerate(_policy_sets()[1:] + _policy_sets()[:1]):
+        registry.set_policies(policies)
+        _assert_battery_matches_oracle(registry, now, f"policy set {i}")
+
+    now = NOW + registry.record_ttl_seconds + 1  # all but the renewed record expired
+    _assert_battery_matches_oracle(registry, now, "expiry")
+    assert registry.sweep_expired(now) > 0
+    _assert_battery_matches_oracle(registry, now, "sweep")
+    registry.close()
+    _assert_battery_matches_oracle(_file_registry(tmp_path, allow_policies, ca), NOW + 60,
+                                   "recovery")
+
+
+def test_answer_cache_serves_only_inside_its_window(ca, allow_policies, matches_calls):
+    """An answer computed at ``since`` is served for a clock in [since,
+    until): not before ``since``, not at or past the earliest ``serve_until
+    + 1`` of its hits (counting a version ``latest`` dropped), and not once a
+    candidate not yet servable at ``since`` reaches its ``serve_from``."""
+    registry = Registry(policies=allow_policies, trust_anchors=ca.anchors,
+                        record_ttl_seconds=600)
+
+    def register_at(name, at):
+        identity = make_identity(ca, name, now=at)
+        return registry.register(build_registration_request(identity, "ns-0"), at)
+
+    old = register_at(make_name(60, capability="cap-win", version=Version(1, 0)), NOW)
+    new = register_at(make_name(60, capability="cap-win", version=Version(1, 1)), NOW - 300)
+    late = register_at(make_name(61, capability="cap-win"), NOW + 100)
+    assert (new.serve_until, old.serve_until, late.serve_from) == (NOW + 300, NOW + 600, NOW + 100)
+    queries = [NameQuery(capability="cap-win"),
+               NameQuery(capability="cap-win", version_req=VersionRequirement.latest())]
+
+    def answers(now):
+        got = [registry.resolve(q, now) for q in queries]
+        assert got == [_oracle_resolve(registry, q, now) for q in queries], now
+        return got
+
+    assert answers(NOW) == [[new, old], [new]]
+    matches_calls.clear()
+    assert answers(NOW + 99) == [[new, old], [new]]
+    assert matches_calls == []  # both served from the cache
+    assert answers(NOW + 100) == [[new, old, late], [new, late]]
+    assert answers(NOW + 300) == [[new, old, late], [new, late]]
+    assert answers(NOW + 301) == [[old, late], [old, late]]  # 1.0 is the latest again
+    assert answers(NOW + 99) == [[new, old], [new]]  # before the cached answers' since
+    assert answers(NOW + 601) == [[late], [late]]
+    assert answers(NOW + 701) == [[], []]
+
+
+def test_answer_computed_across_a_write_is_not_cached(registry, ca, monkeypatch):
+    """A revoke that lands while a resolve walks its candidates drops the
+    cache, and the walk's answer is not stored after it."""
+    identities = [register(registry, ca, make_name(i, capability="cap-race"))[0]
+                  for i in range(4)]
+    victim = identities[0].name.render()
+    query = NameQuery(capability="cap-race")
+    real = names.matches
+
+    def revoking(name, q):
+        monkeypatch.setattr(names, "matches", real)
+        sig = identities[0].identity_keys.sign(canonical_bytes(revocation_payload(victim, NOW)))
+        registry.revoke(victim, NOW, sig, NOW)
+        return real(name, q)
+
+    monkeypatch.setattr(names, "matches", revoking)
+    registry.resolve(query, NOW)  # ordered before the revoke; may still list the victim
+    assert names.matches is real
+    answer = registry.resolve(query, NOW)
+    assert answer == _oracle_resolve(registry, query, NOW)
+    assert victim not in [r.name.render() for r in answer] and len(answer) == 3
+
+
+def test_answer_cache_holds_at_most_its_reference_cap(registry, ca, monkeypatch):
+    """Each answer costs one reference per record plus a fixed charge for
+    its entry; at the cap the oldest answers go first, and an answer larger
+    than the cap is not kept. A flood of distinct queries that match
+    nothing leaves at most the cap cached, in well under 1 MB."""
+    for i in range(3):
+        register(registry, ca, make_name(i, capability="cap-flood", env="prod"))
+        register(registry, ca, make_name(i + 10, capability="cap-flood", env="staging"))
+    monkeypatch.setattr(registry_module, "ANSWER_CACHE_REFS", 10)
+    monkeypatch.setattr(registry_module, "ANSWER_ENTRY_REFS", 1)
+    prod, staging = (NameQuery(capability="cap-flood", extension=env)
+                     for env in ("prod", "staging"))
+    registry.resolve(prod, NOW)
+    registry.resolve(staging, NOW)
+    assert list(registry._answers) == [prod, staging] and registry._answer_refs == 8
+    missing = NameQuery(agent_id="agent-999")
+    registry.resolve(missing, NOW)  # an empty answer costs 1
+    assert list(registry._answers) == [prod, staging, missing] and registry._answer_refs == 9
+    a2a = NameQuery(capability="cap-flood", extension="prod", protocol="a2a")
+    registry.resolve(a2a, NOW)  # 3 + 1 more: the oldest answer goes
+    assert list(registry._answers) == [staging, missing, a2a] and registry._answer_refs == 9
+    everything = NameQuery(capability="cap-flood")
+    registry.resolve(everything, NOW)  # 6 + 1: all three older answers go
+    assert list(registry._answers) == [everything] and registry._answer_refs == 7
+    monkeypatch.setattr(registry_module, "ANSWER_CACHE_REFS", 6)
+    too_large = NameQuery(capability="cap-flood", version_req=VersionRequirement.latest())
+    assert len(registry.resolve(too_large, NOW)) == 6  # 6 + 1 > 6: not kept, nothing evicted
+    assert list(registry._answers) == [everything]
+
+    registry.set_policies(registry.policies)  # drops every answer
+    assert not registry._answers and registry._answer_refs == 0
+    monkeypatch.undo()
+    entries = registry_module.ANSWER_CACHE_REFS // registry_module.ANSWER_ENTRY_REFS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(4 * entries):
+            registry.resolve(NameQuery(agent_id=f"flood-{i}"), NOW)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(registry._answers) == entries
+    assert registry._answer_refs == registry_module.ANSWER_CACHE_REFS
+    assert NameQuery(agent_id=f"flood-{3 * entries - 1}") not in registry._answers
+    assert NameQuery(agent_id=f"flood-{3 * entries}") in registry._answers
+    assert held < 1 << 20, held

@@ -1,7 +1,6 @@
 import dataclasses
 import http.client
 import json
-import re
 import socket
 import time
 import urllib.parse
@@ -501,9 +500,7 @@ HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 def _read_response(fh) -> tuple[int, dict, bytes]:
     first = fh.readline()
-    if not first.startswith(b"HTTP/"):  # an HTTP/0.9-style error page, then close
-        page = first + fh.read()
-        return int(re.search(rb"Error code: (\d+)", page).group(1)), {}, page
+    assert first.startswith(b"HTTP/1.1 "), first  # a status line, never a bare page
     status = int(first.split()[1])
     headers = {}
     while (line := fh.readline()) not in (b"\r\n", b""):
@@ -533,6 +530,7 @@ PARSE_CASES = {
     "bad-version": (b"GET /v1/healthz HTTP/1.x\r\n", 400, False),
     "superscript-version": (b"GET /v1/healthz HTTP/1.\xb2\r\n", 400, False),
     "bad-request-line": (b"GET\r\n", 400, False),
+    "http-0.9-post": (b"POST /v1/agents\r\n", 400, False),
     "content-length-conflict": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 2\r\n"
                                 b"Content-Length: 3\r\n", 400, False),
     "content-length-repeated": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 2\r\n"
@@ -551,7 +549,9 @@ def test_request_parsing(server, request_bytes, status, stays_open):
     with socket.create_connection(server.address, timeout=5) as sock:
         sock.sendall(request_bytes)
         fh = sock.makefile("rb")
-        assert _read_response(fh)[0] == status
+        got, headers, _ = _read_response(fh)
+        assert got == status
+        assert (headers.get("connection") == "close") is not stays_open
         if stays_open:
             sock.sendall(HEALTHZ)
             assert _read_response(fh)[::2] == (200, b"ok")
