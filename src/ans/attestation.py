@@ -17,7 +17,7 @@ from __future__ import annotations
 import secrets
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import names
 from .canonical import canonical_bytes
@@ -178,6 +178,8 @@ class CapabilityProof:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CapabilityProof":
+        if not (isinstance(doc["agent_name"], str) and isinstance(doc["capability"], str)):
+            raise TypeError("agent_name and capability must be strings")
         return cls(
             agent_name=doc["agent_name"],
             capability=doc["capability"],
@@ -198,29 +200,17 @@ def prove(
     countersigns. Raises CHALLENGE_EXPIRED if the challenge TTL has passed."""
     if now > challenge.expires_at:
         raise AnsError(CHALLENGE_EXPIRED, "challenge expired before proof generation")
-    partial = CapabilityProof(
+    proof = CapabilityProof(
         agent_name=agent_name.render(),
         capability=secret.capability,
         nonce=challenge.nonce,
         capability_signature=b"",
         identity_signature=b"",
     )
-    cap_sig = secret.keypair.sign(canonical_bytes(partial.binding_doc()))
-    partial = CapabilityProof(
-        agent_name=partial.agent_name,
-        capability=partial.capability,
-        nonce=partial.nonce,
-        capability_signature=cap_sig,
-        identity_signature=b"",
-    )
-    id_sig = identity_keys.sign(canonical_bytes(partial.countersign_doc()))
-    return CapabilityProof(
-        agent_name=partial.agent_name,
-        capability=partial.capability,
-        nonce=partial.nonce,
-        capability_signature=cap_sig,
-        identity_signature=id_sig,
-    )
+    proof = replace(proof, capability_signature=secret.keypair.sign(
+        canonical_bytes(proof.binding_doc())))
+    return replace(proof, identity_signature=identity_keys.sign(
+        canonical_bytes(proof.countersign_doc())))
 
 
 @dataclass(frozen=True)

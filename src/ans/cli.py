@@ -11,6 +11,7 @@ Exit codes: 0 success or allowed, 1 operational error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -20,27 +21,8 @@ from typing import TYPE_CHECKING
 
 from . import names
 from .canonical import canonical_json
-from .errors import (
-    AnsError,
-    BAD_SIGNATURE,
-    CAPABILITY_MISMATCH,
-    CHALLENGE_EXPIRED,
-    NONCE_REPLAY,
-    POLICY_DENIED,
-    TransportError,
-    UNKNOWN_CAPABILITY,
-)
-from .identity import (
-    Certificate,
-    CertificateChain,
-    INTERMEDIATE_VALIDITY_S,
-    KeyPair,
-    ROOT_VALIDITY_S,
-    derive_did,
-    issue_certificate,
-    ROLE_INTERMEDIATE,
-    self_signed_root,
-)
+from .errors import DENIAL_CODES, AnsError, TransportError
+from .identity import Certificate, CertificateChain, KeyPair, build_ca, derive_did
 from .manifest import parse_duration, validate_admission
 from .policy import load_policies
 from .server import AnsServer, ServerConfig, load_anchors
@@ -52,12 +34,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DENIED = 3
-
-# Codes that are verdicts rather than malfunctions.
-DENIAL_CODES = frozenset({
-    POLICY_DENIED, CAPABILITY_MISMATCH, NONCE_REPLAY, CHALLENGE_EXPIRED,
-    BAD_SIGNATURE, UNKNOWN_CAPABILITY,
-})
 
 ROOT_FILE = "ca-root.json"
 INTERMEDIATE_FILE = "ca-intermediate.json"
@@ -146,24 +122,18 @@ def cmd_keygen(args) -> int:
 
 def cmd_ca_init(args) -> int:
     os.makedirs(args.keys, exist_ok=True)
-    now = int(time.time())
-    root_keys = KeyPair.generate()
-    root_cert = self_signed_root(root_keys, ROOT_VALIDITY_S, now=now)
-    inter_keys = KeyPair.generate()
-    inter_cert = issue_certificate(
-        root_keys, root_cert, inter_keys.public_key, ROLE_INTERMEDIATE,
-        INTERMEDIATE_VALIDITY_S, now=now,
-    )
+    ca = build_ca()
     _write_private(os.path.join(args.keys, ROOT_FILE),
-                   {"seed": root_keys.private_key.hex(), "cert": root_cert.to_doc()})
+                   {"seed": ca.root_keys.private_key.hex(), "cert": ca.root_cert.to_doc()})
     _write_private(os.path.join(args.keys, INTERMEDIATE_FILE),
-                   {"seed": inter_keys.private_key.hex(), "cert": inter_cert.to_doc()})
+                   {"seed": ca.intermediate_keys.private_key.hex(),
+                    "cert": ca.intermediate_cert.to_doc()})
     anchors_path = os.path.join(args.keys, ANCHORS_FILE)
     with open(anchors_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json([root_cert.to_doc()]))
+        fh.write(canonical_json([ca.root_cert.to_doc()]))
     _emit(args, f"initialized CA under {args.keys} (anchors: {anchors_path})", {
-        "root_did": root_cert.subject_did,
-        "intermediate_did": inter_cert.subject_did,
+        "root_did": ca.root_cert.subject_did,
+        "intermediate_did": ca.intermediate_cert.subject_did,
         "anchors": anchors_path,
     })
     return EXIT_OK
@@ -220,15 +190,8 @@ def cmd_register(args) -> int:
 def cmd_resolve(args) -> int:
     from . import client
 
-    version_req = names.VersionRequirement.parse(args.version) if args.version else None
-    query = names.NameQuery(
-        protocol=args.protocol,
-        agent_id=args.agent,
-        capability=args.capability,
-        provider=args.provider,
-        extension=args.env,
-        version_req=version_req,
-    )
+    query = names.NameQuery.from_params(
+        {p: value for p in names.QUERY_PARAMS if (value := getattr(args, p)) is not None})
     records = client.discover(args.registry, query)
     if args.output == "json":
         print(canonical_json([r.to_doc() for r in records]))
@@ -267,11 +230,8 @@ def cmd_admission_validate(args) -> int:
     if args.registry:
         from .client import RegistryClient
 
-        registry_client = RegistryClient(args.registry)
-        try:
+        with contextlib.closing(RegistryClient(args.registry)) as registry_client:
             result_doc = registry_client.post("/v1/admission/validate", doc)
-        finally:
-            registry_client.close()
     else:
         if not args.policy:
             print("error: need --registry or --policy", file=sys.stderr)

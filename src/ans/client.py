@@ -20,15 +20,17 @@ anything self-asserted.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import queue
+import secrets
 import socket
 import struct
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import attestation, names
 from .attestation import (
@@ -43,10 +45,12 @@ from .canonical import canonical_bytes, sha256
 from .errors import (
     AnsError,
     BAD_SIGNATURE,
+    ERROR_CODES,
     HANDSHAKE_TIMEOUT,
     MALFORMED,
     TransportError,
     UNKNOWN_CAPABILITY,
+    decode_doc,
 )
 from .identity import (
     AGENT_VALIDITY_S,
@@ -206,111 +210,71 @@ def build_registration_request(identity: AgentIdentity, namespace: str) -> Regis
         commitments=identity.commitments(),
     )
     signature = identity.identity_keys.sign(canonical_bytes(request.signing_payload()))
-    return RegistrationRequest(
-        name_text=request.name_text,
-        endpoint=request.endpoint,
-        namespace=request.namespace,
-        chain=request.chain,
-        commitments=request.commitments,
-        signature=signature,
-    )
+    return replace(request, signature=signature)
+
+
+def _client(registry_url: str, client: RegistryClient | None):
+    """The caller's client, or one opened for the call and closed after it."""
+    if client is not None:
+        return contextlib.nullcontext(client)
+    return contextlib.closing(RegistryClient(registry_url))
+
+
+def _control_body(identity: AgentIdentity, payload, now: int | None) -> tuple[str, dict]:
+    """The quoted name and the body, signing ``payload(name, ts)``, of a renew or revoke."""
+    ts = int(time.time()) if now is None else now
+    name_text = identity.name.render()
+    signature = identity.identity_keys.sign(canonical_bytes(payload(name_text, ts)))
+    return urllib.parse.quote(name_text, safe=""), {"ts": ts, "signature": signature.hex()}
 
 
 def register_with(identity: AgentIdentity, registry_url: str, namespace: str,
                   client: RegistryClient | None = None) -> AgentRecord:
-    own = client or RegistryClient(registry_url)
-    try:
-        request = build_registration_request(identity, namespace)
-        doc = own.post("/v1/agents", request.to_doc())
-        return AgentRecord.from_doc(doc)
-    finally:
-        if client is None:
-            own.close()
+    request = build_registration_request(identity, namespace)
+    with _client(registry_url, client) as own:
+        return AgentRecord.from_doc(own.post("/v1/agents", request.to_doc()))
 
 
 def renew_with(identity: AgentIdentity, registry_url: str,
                client: RegistryClient | None = None, now: int | None = None) -> AgentRecord:
-    own = client or RegistryClient(registry_url)
-    try:
-        ts = int(time.time()) if now is None else now
-        name_text = identity.name.render()
-        signature = identity.identity_keys.sign(canonical_bytes(renewal_payload(name_text, ts)))
-        quoted = urllib.parse.quote(name_text, safe="")
-        doc = own.post(f"/v1/agents/{quoted}/renew", {"ts": ts, "signature": signature.hex()})
-        return AgentRecord.from_doc(doc)
-    finally:
-        if client is None:
-            own.close()
+    quoted, body = _control_body(identity, renewal_payload, now)
+    with _client(registry_url, client) as own:
+        return AgentRecord.from_doc(own.post(f"/v1/agents/{quoted}/renew", body))
 
 
 def revoke_with(identity: AgentIdentity, registry_url: str,
                 client: RegistryClient | None = None, now: int | None = None) -> None:
-    own = client or RegistryClient(registry_url)
-    try:
-        ts = int(time.time()) if now is None else now
-        name_text = identity.name.render()
-        signature = identity.identity_keys.sign(canonical_bytes(revocation_payload(name_text, ts)))
-        quoted = urllib.parse.quote(name_text, safe="")
-        own.delete(f"/v1/agents/{quoted}", {"ts": ts, "signature": signature.hex()})
-    finally:
-        if client is None:
-            own.close()
+    quoted, body = _control_body(identity, revocation_payload, now)
+    with _client(registry_url, client) as own:
+        own.delete(f"/v1/agents/{quoted}", body)
 
 
 def discover(registry_url: str, query: NameQuery,
              client: RegistryClient | None = None) -> list[AgentRecord]:
     """Thin wrapper over /v1/resolve preserving the server's ordering."""
-    own = client or RegistryClient(registry_url)
-    try:
-        params = {}
-        if query.protocol is not None:
-            params["protocol"] = query.protocol
-        if query.agent_id is not None:
-            params["agent"] = query.agent_id
-        if query.capability is not None:
-            params["capability"] = query.capability
-        if query.provider is not None:
-            params["provider"] = query.provider
-        if query.extension is not None:
-            params["env"] = query.extension
-        if query.version_req is not None:
-            params["version"] = query.version_req.render()
-        path = "/v1/resolve"
-        if params:
-            path += "?" + urllib.parse.urlencode(params)
+    path = "/v1/resolve?" + urllib.parse.urlencode(query.to_params())
+    with _client(registry_url, client) as own:
         decoder = RecordDecoder()  # records in one reply share issuers
         return [decoder.record(d) for d in own.get(path)]
-    finally:
-        if client is None:
-            own.close()
 
 
 def request_challenge(registry_url: str, name: AnsName,
                       client: RegistryClient | None = None) -> Challenge:
-    own = client or RegistryClient(registry_url)
-    try:
-        doc = own.post("/v1/challenge", {"name": name.render()})
-        return Challenge.from_doc(doc)
-    finally:
-        if client is None:
-            own.close()
+    with _client(registry_url, client) as own:
+        return Challenge.from_doc(own.post("/v1/challenge", {"name": name.render()}))
 
 
 def attest_with(identity: AgentIdentity, registry_url: str, capability: str,
                 client: RegistryClient | None = None, now: int | None = None) -> dict:
     """Full challenge/prove/attest round trip against the registry."""
-    own = client or RegistryClient(registry_url)
-    try:
-        secret = identity.capabilities.get(capability)
-        if secret is None:
-            raise AnsError(UNKNOWN_CAPABILITY, f"identity holds no secret for {capability!r}")
+    secret = identity.capabilities.get(capability)
+    if secret is None:
+        raise AnsError(UNKNOWN_CAPABILITY, f"identity holds no secret for {capability!r}")
+    with _client(registry_url, client) as own:
         challenge = request_challenge(registry_url, identity.name, client=own)
         ts = int(time.time()) if now is None else now
         proof = attestation.prove(challenge, secret, identity.identity_keys, identity.name, ts)
         return own.post("/v1/attest", proof.to_doc())
-    finally:
-        if client is None:
-            own.close()
 
 
 # -- message transports -------------------------------------------------------
@@ -400,27 +364,39 @@ def _send_doc(transport, doc: dict) -> None:
     transport.send(canonical_bytes(doc))
 
 
-def _recv_doc(transport, timeout: float) -> dict:
+def _recv_doc(transport, timeout: float, *expected: str) -> dict:
+    """The next message, of one of the ``expected`` types if any; an abort raises."""
     try:
         raw = transport.recv(timeout)
     except TimeoutError:
         raise AnsError(HANDSHAKE_TIMEOUT, "peer did not answer in time")
     try:
         doc = json.loads(raw)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise AnsError(MALFORMED, f"undecodable handshake message: {exc}")
     if not isinstance(doc, dict) or "type" not in doc:
         raise AnsError(MALFORMED, "handshake message must carry a type")
     if doc["type"] == "abort":
-        raise AnsError(doc.get("error", BAD_SIGNATURE), f"aborted by peer: {doc.get('message', '')}")
+        code = doc.get("error", BAD_SIGNATURE)
+        if not (isinstance(code, str) and code in ERROR_CODES):
+            code = MALFORMED
+        raise AnsError(code, f"aborted by peer: {doc.get('message', '')}")
+    if expected and doc["type"] not in expected:
+        raise AnsError(MALFORMED, f"expected {' or '.join(expected)}, got {doc['type']!r}")
     return doc
 
 
-def _abort(transport, exc: AnsError) -> None:
+@contextlib.contextmanager
+def _aborting(transport):
+    """Send the peer an abort for any AnsError raised inside, then raise it."""
     try:
-        _send_doc(transport, {"type": "abort", "error": exc.code, "message": exc.message})
-    except Exception:
-        pass
+        yield
+    except AnsError as exc:
+        try:
+            _send_doc(transport, {"type": "abort", "error": exc.code, "message": exc.message})
+        except Exception:
+            pass
+        raise
 
 
 # -- mutual handshake ----------------------------------------------------------
@@ -437,21 +413,31 @@ class Session:
     peer_chain: CertificateChain = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
 
 
+def _session(peer_chain: CertificateChain, serial_i: int, serial_r: int,
+             nonce_i: bytes, nonce_r: bytes, now: int) -> Session:
+    """The session with a peer; its transcript binds both serials and nonces."""
+    return Session(
+        peer_did=peer_chain.agent.subject_did,
+        peer_name=peer_chain.agent.subject_name,
+        transcript_hash=sha256(canonical_bytes(
+            [serial_i, serial_r, nonce_i.hex(), nonce_r.hex()])),
+        established_at=now,
+        peer_chain=peer_chain,
+    )
+
+
 def _handshake_digest(serial: int, first_nonce: bytes, second_nonce: bytes) -> bytes:
     return sha256(canonical_bytes([serial, first_nonce.hex(), second_nonce.hex()]))
 
 
-def _transcript(serial_i: int, serial_r: int, nonce_i: bytes, nonce_r: bytes) -> bytes:
-    return sha256(canonical_bytes([serial_i, serial_r, nonce_i.hex(), nonce_r.hex()]))
+def _hello_fields(doc: dict) -> tuple[CertificateChain, bytes]:
+    return CertificateChain.from_doc(doc["chain"]), bytes.fromhex(doc["nonce"])
 
 
-def _validate_peer_chain(doc: dict, trust_anchors, now: int,
-                         expected_name: AnsName | None) -> CertificateChain:
-    try:
-        chain = CertificateChain.from_doc(doc["chain"])
-        nonce = bytes.fromhex(doc["nonce"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AnsError(MALFORMED, f"bad handshake payload: {exc}")
+def _peer_hello(doc: dict, trust_anchors, now: int,
+                expected_name: AnsName | None) -> tuple[CertificateChain, bytes]:
+    """The validated chain and the 32-byte nonce of a hello or hello_ack."""
+    chain, nonce = decode_doc("handshake payload", _hello_fields, doc)
     if len(nonce) != 32:
         raise AnsError(MALFORMED, "handshake nonce must be 32 bytes")
     validate_chain(chain, trust_anchors, now).raise_if_invalid()
@@ -459,7 +445,14 @@ def _validate_peer_chain(doc: dict, trust_anchors, now: int,
         raise AnsError(BAD_SIGNATURE, "peer certificate carries no agent name")
     if expected_name is not None and chain.agent.subject_name != expected_name:
         raise AnsError(BAD_SIGNATURE, "peer presented a certificate for a different name")
-    return chain
+    return chain, nonce
+
+
+def _check_signature(doc: dict, chain: CertificateChain, digest: bytes, failure: str) -> None:
+    """Verify a handshake message's signature over ``digest`` by the peer's key."""
+    signature = decode_doc("handshake payload", bytes.fromhex, doc.get("signature"))
+    if not verify_signature(chain.agent.public_key, signature, digest):
+        raise AnsError(BAD_SIGNATURE, failure)
 
 
 def initiate_handshake(
@@ -470,41 +463,25 @@ def initiate_handshake(
     expected_name: AnsName | None = None,
     timeout: float = HANDSHAKE_TIMEOUT_S,
 ) -> Session:
-    import secrets as _secrets
-
     if now is None:
         now = int(time.time())
-    nonce_i = _secrets.token_bytes(32)
+    serial_i = identity.chain.agent.serial
+    nonce_i = secrets.token_bytes(32)
     _send_doc(transport, {
         "type": "hello",
         "chain": identity.chain.to_doc(),
         "nonce": nonce_i.hex(),
     })
-    reply = _recv_doc(transport, timeout)
-    if reply.get("type") != "hello_ack":
-        raise AnsError(MALFORMED, f"expected hello_ack, got {reply.get('type')!r}")
-    try:
-        peer_chain = _validate_peer_chain(reply, trust_anchors, now, expected_name)
-        nonce_r = bytes.fromhex(reply["nonce"])
-        sig_r = bytes.fromhex(reply["signature"])
-        expected_digest = _handshake_digest(identity.chain.agent.serial, nonce_i, nonce_r)
-        if not verify_signature(peer_chain.agent.public_key, sig_r, expected_digest):
-            raise AnsError(BAD_SIGNATURE, "responder signature does not verify")
-    except AnsError as exc:
-        _abort(transport, exc)
-        raise
+    reply = _recv_doc(transport, timeout, "hello_ack")
+    with _aborting(transport):
+        peer_chain, nonce_r = _peer_hello(reply, trust_anchors, now, expected_name)
+        _check_signature(reply, peer_chain, _handshake_digest(serial_i, nonce_i, nonce_r),
+                         "responder signature does not verify")
     sig_i = identity.identity_keys.sign(
         _handshake_digest(peer_chain.agent.serial, nonce_r, nonce_i)
     )
     _send_doc(transport, {"type": "confirm", "signature": sig_i.hex()})
-    return Session(
-        peer_did=peer_chain.agent.subject_did,
-        peer_name=peer_chain.agent.subject_name,
-        transcript_hash=_transcript(identity.chain.agent.serial, peer_chain.agent.serial,
-                                    nonce_i, nonce_r),
-        established_at=now,
-        peer_chain=peer_chain,
-    )
+    return _session(peer_chain, serial_i, peer_chain.agent.serial, nonce_i, nonce_r, now)
 
 
 def respond_handshake(
@@ -514,20 +491,13 @@ def respond_handshake(
     now: int | None = None,
     timeout: float = HANDSHAKE_TIMEOUT_S,
 ) -> Session:
-    import secrets as _secrets
-
     if now is None:
         now = int(time.time())
-    hello = _recv_doc(transport, timeout)
-    if hello.get("type") != "hello":
-        raise AnsError(MALFORMED, f"expected hello, got {hello.get('type')!r}")
-    try:
-        peer_chain = _validate_peer_chain(hello, trust_anchors, now, None)
-    except AnsError as exc:
-        _abort(transport, exc)
-        raise
-    nonce_i = bytes.fromhex(hello["nonce"])
-    nonce_r = _secrets.token_bytes(32)
+    serial_r = identity.chain.agent.serial
+    hello = _recv_doc(transport, timeout, "hello")
+    with _aborting(transport):
+        peer_chain, nonce_i = _peer_hello(hello, trust_anchors, now, None)
+    nonce_r = secrets.token_bytes(32)
     sig_r = identity.identity_keys.sign(
         _handshake_digest(peer_chain.agent.serial, nonce_i, nonce_r)
     )
@@ -537,25 +507,11 @@ def respond_handshake(
         "nonce": nonce_r.hex(),
         "signature": sig_r.hex(),
     })
-    confirm = _recv_doc(transport, timeout)
-    if confirm.get("type") != "confirm":
-        raise AnsError(MALFORMED, f"expected confirm, got {confirm.get('type')!r}")
-    try:
-        sig_i = bytes.fromhex(confirm["signature"])
-        expected_digest = _handshake_digest(identity.chain.agent.serial, nonce_r, nonce_i)
-        if not verify_signature(peer_chain.agent.public_key, sig_i, expected_digest):
-            raise AnsError(BAD_SIGNATURE, "initiator signature does not verify at message 3")
-    except AnsError as exc:
-        _abort(transport, exc)
-        raise
-    return Session(
-        peer_did=peer_chain.agent.subject_did,
-        peer_name=peer_chain.agent.subject_name,
-        transcript_hash=_transcript(peer_chain.agent.serial, identity.chain.agent.serial,
-                                    nonce_i, nonce_r),
-        established_at=now,
-        peer_chain=peer_chain,
-    )
+    confirm = _recv_doc(transport, timeout, "confirm")
+    with _aborting(transport):
+        _check_signature(confirm, peer_chain, _handshake_digest(serial_r, nonce_r, nonce_i),
+                         "initiator signature does not verify at message 3")
+    return _session(peer_chain, peer_chain.agent.serial, serial_r, nonce_i, nonce_r, now)
 
 
 # -- capability exchange over an established session ---------------------------
@@ -573,26 +529,22 @@ def request_capability(
     if now is None:
         now = int(time.time())
     _send_doc(transport, {"type": "capability_request", "capability": capability})
-    reply = _recv_doc(transport, timeout)
-    if reply.get("type") == "capability_denied":
+    reply = _recv_doc(transport, timeout, "challenge", "capability_denied")
+    if reply["type"] == "capability_denied":
         return AttestationResult.deny(reply.get("reason", BAD_SIGNATURE),
                                       reply.get("message", ""))
-    if reply.get("type") != "challenge":
-        raise AnsError(MALFORMED, f"expected challenge, got {reply.get('type')!r}")
-    challenge = Challenge.from_doc(reply["challenge"])
+    challenge = decode_doc("challenge", Challenge.from_doc, reply.get("challenge"))
     secret = prover.capabilities.get(capability)
     if secret is None:
         return AttestationResult.deny(UNKNOWN_CAPABILITY,
                                       f"no local secret for {capability!r}")
     proof = attestation.prove(challenge, secret, prover.identity_keys, prover.name, now)
     _send_doc(transport, {"type": "capability_proof", "proof": proof.to_doc()})
-    verdict = _recv_doc(transport, timeout)
-    if verdict.get("type") == "capability_granted":
-        return AttestationResult(True)
-    if verdict.get("type") == "capability_denied":
+    verdict = _recv_doc(transport, timeout, "capability_granted", "capability_denied")
+    if verdict["type"] == "capability_denied":
         return AttestationResult.deny(verdict.get("reason", BAD_SIGNATURE),
                                       verdict.get("message", ""))
-    raise AnsError(MALFORMED, f"unexpected verdict {verdict.get('type')!r}")
+    return AttestationResult(True)
 
 
 def serve_capability_request(
@@ -626,17 +578,13 @@ def serve_capability_request(
             UNKNOWN_CAPABILITY,
             f"peer certificate carries no commitment for {capability!r}",
         )
-        _send_doc(transport, {"type": "capability_denied", "reason": result.reason,
-                              "message": result.message})
-        return result
-    challenge = store.issue(session.peer_name, now)
-    _send_doc(transport, {"type": "challenge", "challenge": challenge.to_doc()})
-    answer = _recv_doc(transport, timeout)
-    if answer.get("type") != "capability_proof":
-        raise AnsError(MALFORMED, f"expected capability_proof, got {answer.get('type')!r}")
-    proof = CapabilityProof.from_doc(answer["proof"])
-    result = attestation.verify(proof, commitment, session.peer_chain, trust_anchors,
-                                store, now)
+    else:
+        challenge = store.issue(session.peer_name, now)
+        _send_doc(transport, {"type": "challenge", "challenge": challenge.to_doc()})
+        answer = _recv_doc(transport, timeout, "capability_proof")
+        proof = decode_doc("capability proof", CapabilityProof.from_doc, answer.get("proof"))
+        result = attestation.verify(proof, commitment, session.peer_chain, trust_anchors,
+                                    store, now)
     if result.granted:
         _send_doc(transport, {"type": "capability_granted"})
     else:

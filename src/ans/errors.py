@@ -1,8 +1,8 @@
 """Closed error vocabulary shared by the registry, server, client SDK, and CLI.
 
 Every failure that crosses a module or wire boundary carries one of the codes
-below. The HTTP status mapping lives in the server; the CLI maps codes to exit
-codes. Codes outside this set are a bug.
+below, and ``STATUS_BY_CODE`` gives each its HTTP status; the CLI maps codes to
+exit codes. Codes outside this set are a bug.
 """
 
 from __future__ import annotations
@@ -48,32 +48,40 @@ HANDSHAKE_TIMEOUT = "HANDSHAKE_TIMEOUT"
 # Server
 INTERNAL = "INTERNAL"
 
-ERROR_CODES = frozenset({
-    INVALID_PROTOCOL,
-    INVALID_LABEL,
-    INVALID_VERSION,
-    MALFORMED,
-    INVALID_NAME,
-    ROLE_VIOLATION,
-    WINDOW_EXCEEDED,
-    UNTRUSTED_ROOT,
-    CHAIN_INVALID,
-    CERT_EXPIRED,
-    CERT_NOT_YET_VALID,
-    CHALLENGE_EXPIRED,
-    NONCE_REPLAY,
-    CAPABILITY_MISMATCH,
-    UNKNOWN_CAPABILITY,
-    BAD_SIGNATURE,
-    POLICY_PARSE,
-    POLICY_DENIED,
-    NAME_MISMATCH,
-    DUPLICATE_AGENT,
-    UNKNOWN_AGENT,
-    REVOKED,
-    LOG_CORRUPT,
-    HANDSHAKE_TIMEOUT,
-    INTERNAL,
+# Every code above, with the HTTP status the server answers it with.
+STATUS_BY_CODE = {
+    INVALID_PROTOCOL: 400,
+    INVALID_LABEL: 400,
+    INVALID_VERSION: 400,
+    MALFORMED: 400,
+    INVALID_NAME: 400,
+    NAME_MISMATCH: 400,
+    ROLE_VIOLATION: 400,
+    WINDOW_EXCEEDED: 400,
+    POLICY_PARSE: 400,
+    BAD_SIGNATURE: 401,
+    NONCE_REPLAY: 401,
+    CHALLENGE_EXPIRED: 401,
+    CHAIN_INVALID: 401,
+    CERT_EXPIRED: 401,
+    CERT_NOT_YET_VALID: 401,
+    UNTRUSTED_ROOT: 401,
+    POLICY_DENIED: 403,
+    CAPABILITY_MISMATCH: 403,
+    UNKNOWN_CAPABILITY: 403,
+    REVOKED: 403,
+    UNKNOWN_AGENT: 404,
+    DUPLICATE_AGENT: 409,
+    LOG_CORRUPT: 500,
+    HANDSHAKE_TIMEOUT: 500,
+    INTERNAL: 500,
+}
+ERROR_CODES = frozenset(STATUS_BY_CODE)
+
+# Codes that are verdicts rather than malfunctions.
+DENIAL_CODES = frozenset({
+    POLICY_DENIED, CAPABILITY_MISMATCH, NONCE_REPLAY, CHALLENGE_EXPIRED,
+    BAD_SIGNATURE, UNKNOWN_CAPABILITY,
 })
 
 
@@ -93,6 +101,14 @@ class AnsError(Exception):
         if self.details is not None:
             doc["details"] = self.details
         return doc
+
+
+def decode_doc(what: str, decode, doc):
+    """``decode(doc)``, with a document of the wrong shape raised as MALFORMED."""
+    try:
+        return decode(doc)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise AnsError(MALFORMED, f"bad {what}: {exc}") from exc
 
 
 class TransportError(Exception):

@@ -20,7 +20,7 @@ import statistics
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import attestation, client, names
 from .attestation import ChallengeStore
@@ -34,13 +34,7 @@ from .client import (
     bootstrap_identity,
 )
 from .errors import AnsError, TransportError
-from .identity import (
-    INTERMEDIATE_VALIDITY_S,
-    KeyPair,
-    issue_certificate,
-    ROLE_INTERMEDIATE,
-    self_signed_root,
-)
+from .identity import CaSetup, KeyPair, build_ca
 from .manifest import manifest_for_name
 from .metrics import quantile
 from .names import AnsName, NameQuery, Version
@@ -76,31 +70,6 @@ class BenchConfig:
 
 
 # -- shared scaffolding --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaSetup:
-    root_keys: KeyPair
-    root_cert: object
-    intermediate_keys: KeyPair
-    intermediate_cert: object
-
-    @property
-    def anchors(self) -> tuple:
-        return (self.root_cert,)
-
-
-def build_ca(now: int | None = None) -> CaSetup:
-    if now is None:
-        now = int(time.time())
-    root_keys = KeyPair.generate()
-    root_cert = self_signed_root(root_keys, now=now)
-    inter_keys = KeyPair.generate()
-    inter_cert = issue_certificate(
-        root_keys, root_cert, inter_keys.public_key, ROLE_INTERMEDIATE,
-        INTERMEDIATE_VALIDITY_S, now=now,
-    )
-    return CaSetup(root_keys, root_cert, inter_keys, inter_cert)
 
 
 def harness_policies(extra_rules: tuple[PolicyRule, ...] = ()) -> list[Policy]:
@@ -609,39 +578,49 @@ def _registered_identity(ca: CaSetup, registry: Registry, index: int, now: int) 
     return identity
 
 
+def _handshake_outcome(initiator: AgentIdentity, responder: AgentIdentity, anchors,
+                       now: int) -> tuple[str, str]:
+    """The responder's outcome (``SESSION`` or error code) and error message."""
+    t_init, t_resp = LoopbackTransport.pair()
+    outcome = ("NONE", "")
+
+    def run_responder() -> None:
+        nonlocal outcome
+        try:
+            client.respond_handshake(responder, t_resp, anchors, now=now)
+            outcome = ("SESSION", "")
+        except AnsError as exc:
+            outcome = (exc.code, exc.message)
+
+    thread = threading.Thread(target=run_responder)
+    thread.start()
+    try:
+        client.initiate_handshake(initiator, t_init, anchors, now=now)
+    except AnsError:
+        pass
+    thread.join()
+    return outcome
+
+
+def _register_outcome(registry: Registry, identity: AgentIdentity, namespace: str,
+                      now: int) -> AnsError | None:
+    """The error a registration raised, or None when it was accepted."""
+    try:
+        registry.register(client.build_registration_request(identity, namespace), now)
+    except AnsError as exc:
+        return exc
+    return None
+
+
 def _scenario_impersonation(now: int) -> ScenarioResult:
     ca = build_ca(now)
     registry = _fresh_registry(ca)
     victim = _registered_identity(ca, registry, 0, now)
     responder = _registered_identity(ca, registry, 1, now)
     # stolen certificate chain, wrong private key
-    imposter = AgentIdentity(
-        name=victim.name,
-        identity_keys=KeyPair.generate(),
-        chain=victim.chain,
-        capabilities={},
-        endpoint=victim.endpoint,
-    )
-    t_init, t_resp = LoopbackTransport.pair()
-    observed = {}
-
-    def run_responder() -> None:
-        try:
-            client.respond_handshake(responder, t_resp, ca.anchors, now=now)
-            observed["code"] = "SESSION"
-        except AnsError as exc:
-            observed["code"] = exc.code
-            observed["message"] = exc.message
-
-    thread = threading.Thread(target=run_responder)
-    thread.start()
-    try:
-        client.initiate_handshake(imposter, t_init, ca.anchors, now=now)
-    except AnsError:
-        pass
-    thread.join()
-    return _result("S1", "BAD_SIGNATURE", observed.get("code", "NONE"),
-                   f"responder: {observed.get('code')} ({observed.get('message', '')})")
+    imposter = replace(victim, identity_keys=KeyPair.generate(), capabilities={})
+    code, message = _handshake_outcome(imposter, responder, ca.anchors, now)
+    return _result("S1", "BAD_SIGNATURE", code, f"responder: {code} ({message})")
 
 
 def _scenario_escalation(now: int) -> ScenarioResult:
@@ -677,32 +656,12 @@ def _scenario_expired_cert(now: int) -> ScenarioResult:
     # certificate window ended ~110 days ago
     stale = bootstrap_identity(name, "http://127.0.0.1:0", (), ca.intermediate_keys,
                                ca.intermediate_cert, ca.root_cert, now=past)
-    try:
-        registry.register(client.build_registration_request(stale, namespace), now)
-        reg_code = "ACCEPTED"
-    except AnsError as exc:
-        reg_code = exc.code
+    error = _register_outcome(registry, stale, namespace, now)
+    reg_code = "ACCEPTED" if error is None else error.code
 
     fresh_ca = build_ca(now)
     honest = _make_identity(fresh_ca, _agent_name(5, 5, random.Random(5))[0], now=now)
-    t_init, t_resp = LoopbackTransport.pair()
-    observed = {}
-
-    def run_responder() -> None:
-        try:
-            client.respond_handshake(honest, t_resp, (fresh_ca.root_cert, ca.root_cert), now=now)
-            observed["code"] = "SESSION"
-        except AnsError as exc:
-            observed["code"] = exc.code
-
-    thread = threading.Thread(target=run_responder)
-    thread.start()
-    try:
-        client.initiate_handshake(stale, t_init, (fresh_ca.root_cert, ca.root_cert), now=now)
-    except AnsError:
-        pass
-    thread.join()
-    hs_code = observed.get("code", "NONE")
+    hs_code, _ = _handshake_outcome(stale, honest, (fresh_ca.root_cert, ca.root_cert), now)
     combined = f"{reg_code}+{hs_code}"
     return _result("S3", "CERT_EXPIRED+CERT_EXPIRED", combined,
                    f"registration: {reg_code}, handshake: {hs_code}")
@@ -733,38 +692,26 @@ def _scenario_policy_violation(now: int) -> ScenarioResult:
     registry = _fresh_registry(ca)
     name = AnsName("a2a", "rogue-agent", "cap-a", "prov-0", Version(1, 0), "forbidden")
     identity = _make_identity(ca, name, now=now)
-    try:
-        registry.register(client.build_registration_request(identity, "ns-0"), now)
-        observed, evidence = "ACCEPTED", "registration was accepted"
-    except AnsError as exc:
-        observed = exc.code
-        detail = (exc.details or {}).get("explain", "") if isinstance(exc.details, dict) else ""
-        evidence = f"matched deny rule: {'deny-forbidden-env' in detail}, {exc.message}"
-    return _result("S5", "POLICY_DENIED", observed, evidence)
+    error = _register_outcome(registry, identity, "ns-0", now)
+    if error is None:
+        return _result("S5", "POLICY_DENIED", "ACCEPTED", "registration was accepted")
+    detail = error.details.get("explain", "") if isinstance(error.details, dict) else ""
+    return _result("S5", "POLICY_DENIED", error.code,
+                   f"matched deny rule: {'deny-forbidden-env' in detail}, {error.message}")
 
 
 def _scenario_tampered_chain(now: int) -> ScenarioResult:
-    from dataclasses import replace as dc_replace
-
     ca = build_ca(now)
     registry = _fresh_registry(ca)
     name, namespace = _agent_name(7, 5, random.Random(7))
     identity = _make_identity(ca, name, now=now)
-    tampered_inter = dc_replace(identity.chain.intermediate,
-                                serial=identity.chain.intermediate.serial + 1)
-    tampered = AgentIdentity(
-        name=identity.name,
-        identity_keys=identity.identity_keys,
-        chain=dc_replace(identity.chain, intermediate=tampered_inter),
-        capabilities=identity.capabilities,
-        endpoint=identity.endpoint,
-    )
-    try:
-        registry.register(client.build_registration_request(tampered, namespace), now)
-        observed, evidence = "ACCEPTED", "registration was accepted"
-    except AnsError as exc:
-        observed, evidence = exc.code, exc.message
-    return _result("S6", "CHAIN_INVALID", observed, evidence)
+    tampered_inter = replace(identity.chain.intermediate,
+                             serial=identity.chain.intermediate.serial + 1)
+    tampered = replace(identity, chain=replace(identity.chain, intermediate=tampered_inter))
+    error = _register_outcome(registry, tampered, namespace, now)
+    if error is None:
+        return _result("S6", "CHAIN_INVALID", "ACCEPTED", "registration was accepted")
+    return _result("S6", "CHAIN_INVALID", error.code, error.message)
 
 
 def run_security_suite(now: int | None = None) -> list[ScenarioResult]:

@@ -14,6 +14,7 @@ import base64
 import functools
 import hashlib
 import secrets
+import time
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
@@ -234,8 +235,6 @@ def issue_certificate(
     if validity_seconds <= 0:
         raise ValueError("validity_seconds must be positive")
     if now is None:
-        import time
-
         now = int(time.time())
     start = now if not_before is None else not_before
     end = start + validity_seconds
@@ -287,6 +286,32 @@ def issue_certificate(
 def self_signed_root(keys: KeyPair, validity_seconds: int = ROOT_VALIDITY_S,
                      now: int | None = None) -> Certificate:
     return issue_certificate(keys, None, keys.public_key, ROLE_ROOT, validity_seconds, now=now)
+
+
+@dataclass(frozen=True)
+class CaSetup:
+    root_keys: KeyPair
+    root_cert: Certificate
+    intermediate_keys: KeyPair
+    intermediate_cert: Certificate
+
+    @property
+    def anchors(self) -> tuple[Certificate, ...]:
+        return (self.root_cert,)
+
+
+def build_ca(now: int | None = None) -> CaSetup:
+    """Fresh root and intermediate keys and certificates, both valid from ``now``."""
+    if now is None:
+        now = int(time.time())
+    root_keys = KeyPair.generate()
+    root_cert = self_signed_root(root_keys, now=now)
+    inter_keys = KeyPair.generate()
+    inter_cert = issue_certificate(
+        root_keys, root_cert, inter_keys.public_key, ROLE_INTERMEDIATE,
+        INTERMEDIATE_VALIDITY_S, now=now,
+    )
+    return CaSetup(root_keys, root_cert, inter_keys, inter_cert)
 
 
 @dataclass(frozen=True)

@@ -235,22 +235,6 @@ def check_consistency(manifest: AgentManifest) -> tuple[AnsName | None, list[str
     return parsed, problems
 
 
-def subject_from_manifest(manifest: AgentManifest, parsed: AnsName) -> PolicySubject:
-    all_capabilities = tuple(dict.fromkeys((parsed.capability, *manifest.capabilities)))
-    return PolicySubject(
-        protocol=parsed.protocol,
-        agent_id=parsed.agent_id,
-        capability=parsed.capability,
-        capabilities=all_capabilities,
-        provider=manifest.provider,
-        environment=manifest.environment,
-        namespace=manifest.namespace,
-        cert_validity_seconds=manifest.certificate.validity_seconds,
-        cpu_millicores=manifest.cpu_millicores,
-        memory_mebibytes=manifest.memory_mebibytes,
-    )
-
-
 @dataclass(frozen=True)
 class AdmissionResult:
     allowed: bool
@@ -324,8 +308,10 @@ def validate_admission(
         if reasons:
             return AdmissionResult(False, tuple(reasons), ())
 
-    ctx = EvaluationContext(subject=subject_from_manifest(manifest, parsed),
-                            phase=PHASE_ADMISSION, now=now)
+    subject = PolicySubject.of(parsed, manifest.capabilities, manifest.namespace,
+                               manifest.certificate.validity_seconds,
+                               manifest.cpu_millicores, manifest.memory_mebibytes)
+    ctx = EvaluationContext(subject=subject, phase=PHASE_ADMISSION, now=now)
     decision: PolicyDecision = evaluate(ctx, policies)
     matched = list(decision.matched_rules)
     reasons.extend(decision.reasons)

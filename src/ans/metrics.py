@@ -135,7 +135,6 @@ def render_text(snapshot: MetricsSnapshot) -> str:
 class AlertConfig:
     error_rate_threshold: float = 0.05
     cert_expiry_warning_s: int = CERT_EXPIRY_WARNING_S
-    resource_usage_threshold: float = 0.80  # reserved; no resource signal here
 
 
 @dataclass(frozen=True)

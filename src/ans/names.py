@@ -198,6 +198,11 @@ class VersionRequirement:
         return bare if self.kind == EXACT else f">={bare}"
 
 
+# ``/v1/resolve`` parameter -> ``NameQuery`` field, in the order clients send them.
+QUERY_PARAMS = {"protocol": "protocol", "agent": "agent_id", "capability": "capability",
+                "provider": "provider", "env": "extension", "version": "version_req"}
+
+
 @dataclass(frozen=True)
 class NameQuery:
     """Partial name predicate. Absent fields match anything; at least one
@@ -222,6 +227,25 @@ class NameQuery:
             for f in ("protocol", "agent_id", "capability", "provider", "extension", "version_req")
         ):
             raise AnsError(INVALID_NAME, "query must constrain at least one field")
+
+    @classmethod
+    def from_params(cls, params) -> "NameQuery":
+        """The query a map of ``QUERY_PARAMS`` names to text asks for."""
+        unknown = set(params) - QUERY_PARAMS.keys()
+        if unknown:
+            raise AnsError(INVALID_NAME, f"unknown query parameters: {sorted(unknown)}")
+        fields = {QUERY_PARAMS[p]: value for p, value in params.items()}
+        if "version_req" in fields:
+            fields["version_req"] = VersionRequirement.parse(fields["version_req"])
+        return cls(**fields)
+
+    def to_params(self) -> dict[str, str]:
+        """The parameters ``from_params`` reads back as this query."""
+        params = {p: value for p, f in QUERY_PARAMS.items()
+                  if (value := getattr(self, f)) is not None}
+        if "version" in params:
+            params["version"] = params["version"].render()
+        return params
 
 
 def matches(name: AnsName, query: NameQuery) -> bool:

@@ -9,8 +9,9 @@ allow rule the answer is denied.
 
 Globs support ``*`` only. Conditions apply to allow rules; resource caps are
 checked at admission only, certificate validity caps at both phases.
-Evaluation is pure and policies are immutable after load, so hot reload is an
-atomic swap of the whole set.
+Evaluation is pure and policies are immutable after load. The server loads
+its policy file once, at start; ``Registry.set_policies`` swaps the whole set
+in-process, and no server path calls it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import AnsError, POLICY_PARSE
+from .names import AnsName
 
 PHASE_ADMISSION = "admission"
 PHASE_RUNTIME = "runtime"
@@ -104,6 +106,24 @@ class PolicySubject:
     cert_validity_seconds: int | None = None
     cpu_millicores: int | None = None
     memory_mebibytes: int | None = None
+
+    @classmethod
+    def of(cls, name: AnsName, capabilities, namespace: str,
+           cert_validity_seconds: int | None, cpu: int | None = None,
+           memory: int | None = None) -> "PolicySubject":
+        """The subject for an agent name; its own capability comes first."""
+        return cls(
+            protocol=name.protocol,
+            agent_id=name.agent_id,
+            capability=name.capability,
+            capabilities=tuple(dict.fromkeys((name.capability, *capabilities))),
+            provider=name.provider,
+            environment=name.extension,
+            namespace=namespace,
+            cert_validity_seconds=cert_validity_seconds,
+            cpu_millicores=cpu,
+            memory_mebibytes=memory,
+        )
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,8 @@ class RegistrationRequest:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RegistrationRequest":
+        if not (isinstance(doc["endpoint"], str) and isinstance(doc["namespace"], str)):
+            raise TypeError("endpoint and namespace must be strings")
         return cls(
             name_text=doc["name"],
             endpoint=doc["endpoint"],
@@ -341,6 +343,10 @@ class EventLog:
                 expected += 1
 
 
+def _ignore(operation: str, latency_ms: float) -> None:
+    """The latency sink of a registry given none."""
+
+
 class Registry:
     """In-memory registry state plus the write-ahead event log.
 
@@ -389,13 +395,13 @@ class Registry:
         trust_anchors=(),
         record_ttl_seconds: int = DEFAULT_RECORD_TTL_S,
         log: EventLog | None = None,
-        observe=None,
+        observe=_ignore,
     ):
         self.record_ttl_seconds = record_ttl_seconds
         self.trust_anchors = tuple(trust_anchors)
         self._policies = tuple(policies)
         self._log = log
-        # Optional latency sink: observe(operation, milliseconds). Feeds the
+        # Latency sink: observe(operation, milliseconds). Feeds the
         # chain_validation and policy_eval histograms without mislabeling
         # whole endpoint bodies as core operations.
         self._observe = observe
@@ -410,30 +416,22 @@ class Registry:
         self.verified: dict[tuple[bytes, bytes], Certificate] = {}
         self.last_seq = 0
 
-    def _timed_validate_chain(self, chain: CertificateChain, now: int):
-        if self._observe is None:
-            return validate_chain(chain, self.trust_anchors, now, self.verified)
+    def _timed(self, operation: str, fn, *args):
+        """``fn(*args)``, its latency observed under ``operation``."""
         start = time.perf_counter()
-        verdict = validate_chain(chain, self.trust_anchors, now, self.verified)
-        self._observe("chain_validation", (time.perf_counter() - start) * 1e3)
-        return verdict
+        result = fn(*args)
+        self._observe(operation, (time.perf_counter() - start) * 1e3)
+        return result
 
-    def _timed_evaluate(self, ctx: EvaluationContext):
-        if self._observe is None:
-            return evaluate(ctx, self._policies)
-        start = time.perf_counter()
-        decision = evaluate(ctx, self._policies)
-        self._observe("policy_eval", (time.perf_counter() - start) * 1e3)
-        return decision
-
-    # -- policy hot reload ---------------------------------------------------
+    # -- policies ------------------------------------------------------------
 
     @property
     def policies(self):
         return self._policies
 
     def set_policies(self, policies) -> None:
-        """Atomic swap of the whole policy set."""
+        """Atomic swap of the whole policy set. An in-process API: the server
+        loads its policies once, at start, and never calls it."""
         with self._lock:
             self._policies = tuple(policies)
             self._verdicts.clear()
@@ -505,18 +503,9 @@ class Registry:
 
     @staticmethod
     def _subject_from_record(record: AgentRecord) -> PolicySubject:
-        name = record.name
-        committed = tuple(c.capability for c in record.commitments)
-        return PolicySubject(
-            protocol=name.protocol,
-            agent_id=name.agent_id,
-            capability=name.capability,
-            capabilities=tuple(dict.fromkeys((name.capability, *committed))),
-            provider=name.provider,
-            environment=name.extension,
-            namespace=record.namespace,
-            cert_validity_seconds=record.chain.agent.not_after - record.chain.agent.not_before,
-        )
+        agent = record.chain.agent
+        return PolicySubject.of(record.name, (c.capability for c in record.commitments),
+                                record.namespace, agent.not_after - agent.not_before)
 
     def register(self, request: RegistrationRequest, now: int) -> AgentRecord:
         """Validate and store a registration.
@@ -531,7 +520,8 @@ class Registry:
         except AnsError as exc:
             raise AnsError(INVALID_NAME, f"request name rejected: {exc.message}") from exc
 
-        self._timed_validate_chain(request.chain, now).raise_if_invalid()
+        self._timed("chain_validation", validate_chain, request.chain, self.trust_anchors,
+                    now, self.verified).raise_if_invalid()
         try:
             return self._admit(parsed, request, now)
         except BaseException:
@@ -594,7 +584,7 @@ class Registry:
 
         with self._lock:
             ctx = EvaluationContext(self._subject_from_record(record), PHASE_ADMISSION, now)
-            decision = self._timed_evaluate(ctx)
+            decision = self._timed("policy_eval", evaluate, ctx, self._policies)
             if not decision.allowed:
                 raise AnsError(POLICY_DENIED, "registration denied by policy",
                                details={"explain": explain(decision)})
@@ -672,7 +662,7 @@ class Registry:
         if memo is not None and memo[0] is record:
             return memo[1]
         ctx = EvaluationContext(self._subject_from_record(record), PHASE_RUNTIME, now)
-        allowed = self._timed_evaluate(ctx).allowed
+        allowed = self._timed("policy_eval", evaluate, ctx, self._policies).allowed
         self._verdicts[key] = (record, allowed)
         return allowed
 
@@ -835,7 +825,7 @@ class Registry:
         log_path: str | None = None,
         snapshot_path: str | None = None,
         fsync: bool = True,
-        observe=None,
+        observe=_ignore,
     ) -> "Registry":
         """Rebuild state from snapshot plus event-log suffix, then reopen the
         log for appends. Raises LOG_CORRUPT on gaps or parse failures.

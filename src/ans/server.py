@@ -31,40 +31,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
 from .canonical import canonical_json
-from .errors import AnsError
+from .errors import STATUS_BY_CODE, AnsError, decode_doc
 from .identity import Certificate, CertificateChain
 from .manifest import validate_admission
-from .metrics import AlertConfig, Metrics, evaluate_alerts, render_text
+from .metrics import AlertConfig, Metrics, render_text
 from .policy import load_policies
 from .registry import AgentRecord, RegistrationRequest, Registry
-
-STATUS_BY_CODE = {
-    codes.INVALID_PROTOCOL: 400,
-    codes.INVALID_LABEL: 400,
-    codes.INVALID_VERSION: 400,
-    codes.MALFORMED: 400,
-    codes.INVALID_NAME: 400,
-    codes.NAME_MISMATCH: 400,
-    codes.ROLE_VIOLATION: 400,
-    codes.WINDOW_EXCEEDED: 400,
-    codes.POLICY_PARSE: 400,
-    codes.BAD_SIGNATURE: 401,
-    codes.NONCE_REPLAY: 401,
-    codes.CHALLENGE_EXPIRED: 401,
-    codes.CHAIN_INVALID: 401,
-    codes.CERT_EXPIRED: 401,
-    codes.CERT_NOT_YET_VALID: 401,
-    codes.UNTRUSTED_ROOT: 401,
-    codes.POLICY_DENIED: 403,
-    codes.CAPABILITY_MISMATCH: 403,
-    codes.UNKNOWN_CAPABILITY: 403,
-    codes.REVOKED: 403,
-    codes.UNKNOWN_AGENT: 404,
-    codes.DUPLICATE_AGENT: 409,
-    codes.LOG_CORRUPT: 500,
-    codes.HANDSHAKE_TIMEOUT: 500,
-    codes.INTERNAL: 500,
-}
 
 # Largest request body read; a registration or a manifest is a few KiB.
 MAX_BODY_BYTES = 1 << 20
@@ -194,10 +166,7 @@ class AnsServer:
         bytes its log line embeds and later resolves reuse."""
         start = time.perf_counter()
         now = self.now()
-        try:
-            request = RegistrationRequest.from_doc(body)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise AnsError(codes.MALFORMED, f"bad registration body: {exc}")
+        request = decode_doc("registration body", RegistrationRequest.from_doc, body)
         try:
             record = self.registry.register(request, now)
         except AnsError as exc:
@@ -210,12 +179,12 @@ class AnsServer:
         return 201, record.doc_bytes
 
     def op_renew(self, name_text: str, body: dict) -> tuple[int, bytes]:
-        ts, signature = _control_fields(body)
+        ts, signature = decode_doc("control body", _control_fields, body)
         record = self.registry.renew(name_text, ts, signature, self.now())
         return 200, record.doc_bytes
 
     def op_revoke(self, name_text: str, body: dict) -> tuple[int, dict]:
-        ts, signature = _control_fields(body)
+        ts, signature = decode_doc("control body", _control_fields, body)
         self.registry.revoke(name_text, ts, signature, self.now())
         return 200, {"revoked": name_text}
 
@@ -224,7 +193,7 @@ class AnsServer:
         each record's cached bytes."""
         start = time.perf_counter()
         try:
-            query = query_from_params(params)
+            query = names.NameQuery.from_params(params)
             records = self.registry.resolve(query, self.now())
         finally:
             self.metrics.inc("discovery_queries_total")
@@ -243,10 +212,7 @@ class AnsServer:
         start = time.perf_counter()
         self.metrics.inc("attestations_total")
         try:
-            try:
-                proof = CapabilityProof.from_doc(body)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise AnsError(codes.MALFORMED, f"bad proof body: {exc}")
+            proof = decode_doc("proof body", CapabilityProof.from_doc, body)
             record = self._record_or_404(proof.agent_name)
             commitment = next(
                 (c for c in record.commitments if c.capability == proof.capability), None
@@ -274,7 +240,7 @@ class AnsServer:
         if "manifest" in body:
             manifest_doc = body["manifest"]
             if "chain" in body:
-                chain = CertificateChain.from_doc(body["chain"])
+                chain = decode_doc("admission chain", CertificateChain.from_doc, body["chain"])
             for key in body:
                 if key not in ("manifest", "chain"):
                     raise AnsError(codes.MALFORMED, f"unknown admission key {key!r}")
@@ -296,12 +262,6 @@ class AnsServer:
         )
         return render_text(snapshot)
 
-    def current_alerts(self) -> list:
-        now = self.now()
-        records = self.registry.active_records(now)
-        snapshot = self.metrics.snapshot(records=records, now=now)
-        return evaluate_alerts(snapshot, records, self.alert_config, now)
-
     def _record_or_404(self, name_text: str) -> AgentRecord:
         record = self.registry.get_active(name_text, self.now())
         if record is None:
@@ -310,29 +270,11 @@ class AnsServer:
 
 
 def _control_fields(body: dict) -> tuple[int, bytes]:
-    try:
-        return int(body["ts"]), bytes.fromhex(body["signature"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AnsError(codes.MALFORMED, f"bad control body: {exc}")
+    return int(body["ts"]), bytes.fromhex(body["signature"])
 
 
-def query_from_params(params: dict[str, str]) -> names.NameQuery:
-    """Map resolve query parameters onto a name query."""
-    known = {"capability", "provider", "protocol", "env", "agent", "version"}
-    unknown = set(params) - known
-    if unknown:
-        raise AnsError(codes.INVALID_NAME, f"unknown query parameters: {sorted(unknown)}")
-    version_req = None
-    if "version" in params:
-        version_req = names.VersionRequirement.parse(params["version"])
-    return names.NameQuery(
-        protocol=params.get("protocol"),
-        agent_id=params.get("agent"),
-        capability=params.get("capability"),
-        provider=params.get("provider"),
-        extension=params.get("env"),
-        version_req=version_req,
-    )
+# The resolve parameter mapping under its older name.
+query_from_params = names.NameQuery.from_params
 
 
 class _Headers(dict):
@@ -459,7 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise AnsError(codes.MALFORMED, "empty request body")
         try:
             body = json.loads(raw)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise AnsError(codes.MALFORMED, f"body is not valid JSON: {exc}")
         if not isinstance(body, dict):
             raise AnsError(codes.MALFORMED, "body must be a JSON object")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import socket
 import threading
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from ans import attestation, client, names
 from ans.attestation import ChallengeStore
+from ans.canonical import canonical_bytes
 from ans.client import (
     AgentIdentity,
     LoopbackTransport,
@@ -221,6 +223,79 @@ def test_mismatched_key_cert_fuzz(pair, ca):
                                  chain=a.chain, capabilities={}, endpoint=a.endpoint)
         with pytest.raises(AnsError):
             _run_handshake(imposter, b, ca.anchors)
+
+
+def _messages(transport) -> list[dict]:
+    """Every message waiting on a loopback transport, decoded."""
+    out = []
+    while True:
+        try:
+            out.append(json.loads(transport.recv(0.05)))
+        except TimeoutError:
+            return out
+
+
+def _hello(identity, **fields) -> bytes:
+    doc = {"type": "hello", "chain": identity.chain.to_doc(), "nonce": "11" * 32, **fields}
+    return canonical_bytes(doc)
+
+
+def test_hello_ack_without_signature_is_malformed_and_aborted(pair, ca):
+    a, b = pair
+    t_init, t_peer = LoopbackTransport.pair()
+    t_peer.send(_hello(b, type="hello_ack"))
+    with pytest.raises(AnsError) as err:
+        initiate_handshake(a, t_init, ca.anchors)
+    assert err.value.code == "MALFORMED"
+    hello, abort = _messages(t_peer)
+    assert hello["type"] == "hello"
+    assert (abort["type"], abort["error"]) == ("abort", "MALFORMED")
+
+
+def test_confirm_without_signature_is_malformed_and_aborted(pair, ca):
+    a, b = pair
+    t_resp, t_peer = LoopbackTransport.pair()
+    t_peer.send(_hello(a))
+    t_peer.send(canonical_bytes({"type": "confirm"}))
+    with pytest.raises(AnsError) as err:
+        respond_handshake(b, t_resp, ca.anchors)
+    assert err.value.code == "MALFORMED"
+    hello_ack, abort = _messages(t_peer)
+    assert hello_ack["type"] == "hello_ack"
+    assert (abort["type"], abort["error"]) == ("abort", "MALFORMED")
+
+
+def test_hello_with_a_chain_of_numbers_is_malformed_and_aborted(pair, ca):
+    a, b = pair
+    t_resp, t_peer = LoopbackTransport.pair()
+    t_peer.send(_hello(a, chain=[1, 2, 3]))
+    with pytest.raises(AnsError) as err:
+        respond_handshake(b, t_resp, ca.anchors)
+    assert err.value.code == "MALFORMED"
+    assert [(m["type"], m["error"]) for m in _messages(t_peer)] == [("abort", "MALFORMED")]
+
+
+def test_peer_server_aborts_a_malformed_hello(pair, ca):
+    a, b = pair
+    peer = PeerServer(b, ca.anchors).start()
+    try:
+        transport = TcpTransport.connect(*peer.address)
+        transport.send(_hello(a, chain=[1, 2, 3]))
+        abort = json.loads(transport.recv(5.0))
+        transport.close()
+    finally:
+        peer.stop()
+    assert (abort["type"], abort["error"]) == ("abort", "MALFORMED")
+
+
+@pytest.mark.parametrize("error", ["NOT_A_CODE", ["MALFORMED"], None])
+def test_abort_with_an_unknown_code_is_malformed(pair, ca, error):
+    a, _ = pair
+    t_init, t_peer = LoopbackTransport.pair()
+    t_peer.send(canonical_bytes({"type": "abort", "error": error, "message": "x"}))
+    with pytest.raises(AnsError) as err:
+        initiate_handshake(a, t_init, ca.anchors)
+    assert err.value.code == "MALFORMED"
 
 
 # -- capability exchange -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from ans.errors import AnsError
 from ans.names import (
+    QUERY_PARAMS,
     AnsName,
     NameQuery,
     Version,
@@ -168,3 +169,35 @@ def test_version_requirement_parsing():
     assert err.value.code == "INVALID_VERSION"
     for req in ("latest", "2.1", ">=2.0", "1.2.3"):
         assert VersionRequirement.parse(req).render() == req
+
+
+def _random_query(rng: random.Random) -> NameQuery:
+    name = random_name(rng)
+    requirement = rng.choice((
+        None,
+        VersionRequirement.latest(),
+        VersionRequirement.exact(random_version(rng)),
+        VersionRequirement.at_least(random_version(rng)),
+    ))
+    fields = {f: getattr(name, f) for f in ("protocol", "agent_id", "capability",
+                                            "provider", "extension") if rng.random() < 0.5}
+    if requirement is not None or not fields:
+        fields["version_req"] = requirement or VersionRequirement.latest()
+    return NameQuery(**fields)
+
+
+def test_query_params_round_trip():
+    rng = random.Random(4242)
+    for _ in range(2000):
+        query = _random_query(rng)
+        params = query.to_params()
+        assert set(params) <= set(QUERY_PARAMS)
+        assert all(isinstance(v, str) for v in params.values())
+        assert NameQuery.from_params(params) == query
+
+
+def test_query_params_reject_unknown_names():
+    with pytest.raises(AnsError) as err:
+        NameQuery.from_params({"capability": "cap-a", "colour": "blue"})
+    assert err.value.code == "INVALID_NAME"
+    assert "colour" in err.value.message

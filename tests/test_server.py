@@ -8,8 +8,9 @@ import urllib.request
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ans import attestation, names
+from ans import attestation, errors, names
 from ans.canonical import canonical_bytes, canonical_json
 from ans.client import RegistryClient, build_registration_request
 from ans.errors import ERROR_CODES, AnsError
@@ -155,6 +156,120 @@ def test_non_object_body_400(server, method, path, body):
     finally:
         conn.close()
     assert status == 400 and doc["error"] == "MALFORMED", doc
+
+
+def _request_raw(server, method, path, data: bytes):
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request(method, path, body=data, headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _registration_doc(ca, **changes):
+    identity = make_identity(ca, make_name(0))
+    return {**build_registration_request(identity, "ns-0").to_doc(), **changes}
+
+
+_PROOF_DOC = {"agent_name": make_name(0).render(), "capability": "cap-a", "nonce": "00",
+              "capability_signature": "00", "identity_signature": "00"}
+HOSTILE_BODIES = {
+    "chain-of-numbers": ("POST", "/v1/agents", lambda ca: _registration_doc(ca, chain=[1, 2, 3])),
+    "float-endpoint": ("POST", "/v1/agents", lambda ca: _registration_doc(ca, endpoint=1.5)),
+    "float-namespace": ("POST", "/v1/agents", lambda ca: _registration_doc(ca, namespace=1.5)),
+    "empty-certificates": ("POST", "/v1/admission/validate",
+                           lambda ca: {"manifest": {}, "chain": [{}, {}, {}]}),
+    "renew-infinite-ts": ("POST", _AGENT_PATH + "/renew",
+                          lambda ca: b'{"ts": 1e400, "signature": "00"}'),
+    "revoke-infinite-ts": ("DELETE", _AGENT_PATH,
+                           lambda ca: b'{"ts": 1e400, "signature": "00"}'),
+    "list-agent-name": ("POST", "/v1/attest", lambda ca: {**_PROOF_DOC, "agent_name": []}),
+    "float-capability": ("POST", "/v1/attest", lambda ca: {**_PROOF_DOC, "capability": 1.5}),
+    "deep-nesting": ("POST", "/v1/agents", lambda ca: b"[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_BODIES))
+def test_hostile_body_is_malformed_not_internal(server, ca, case):
+    method, path, make_body = HOSTILE_BODIES[case]
+    body = make_body(ca)
+    data = body if isinstance(body, bytes) else json.dumps(body).encode()
+    status, doc = _request_raw(server, method, path, data)
+    assert (status, doc["error"]) == (400, "MALFORMED"), doc
+
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON = st.one_of(
+    st.sampled_from((float("inf"), float("nan"), 2**64)),
+    _SCALAR,
+    st.recursive(_SCALAR, lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=8), children, max_size=3)), max_leaves=8),
+)
+
+
+def _mutated(draw, doc):
+    """``doc`` with one node, at any depth, replaced by random JSON or (in a
+    map) removed."""
+    if not isinstance(doc, (dict, list)) or not doc or draw(st.integers(0, 3)) == 0:
+        return draw(_JSON)
+    if isinstance(doc, list):
+        index = draw(st.integers(0, len(doc) - 1))
+        return doc[:index] + [_mutated(draw, doc[index])] + doc[index + 1:]
+    key = draw(st.sampled_from(sorted(doc)))
+    rest = {k: v for k, v in doc.items() if k != key}
+    if draw(st.integers(0, 4)) == 0:
+        return rest
+    return {**rest, key: _mutated(draw, doc[key])}
+
+
+@pytest.fixture()
+def wire_bases(server, rc, ca):
+    """A registered agent and, per operation, a well-formed body to mutate."""
+    identity, record_doc = _register(server, rc, ca, make_name(0))
+    now = server.now()
+    challenge = server.challenges.issue(identity.name, now)
+    proof = attestation.prove(challenge, identity.capabilities["cap-a"],
+                              identity.identity_keys, identity.name, now)
+    control = {"ts": now, "signature": "00" * 64}
+    manifest = yaml.safe_load(LISTING_MANIFEST_YAML)
+    return record_doc["name"], {
+        "register": build_registration_request(identity, "ns-0").to_doc(),
+        "renew": control,
+        "revoke": control,
+        "attest": proof.to_doc(),
+        "admission": {"manifest": manifest, "chain": identity.chain.to_doc()},
+        "challenge": {"name": record_doc["name"]},
+    }
+
+
+@pytest.mark.parametrize("op", ["register", "renew", "revoke", "attest", "admission",
+                                "challenge"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_bodies_get_a_closed_vocabulary_error(server, wire_bases, op, data):
+    """Whatever a body holds, an operation answers or raises an AnsError
+    whose code is not INTERNAL; never a Python error."""
+    name_text, bases = wire_bases
+    body = _mutated(data.draw, bases[op])
+    if not isinstance(body, dict):
+        body = {"value": body}
+    call = {
+        "register": lambda: server.op_register(body),
+        "renew": lambda: server.op_renew(name_text, body),
+        "revoke": lambda: server.op_revoke(name_text, body),
+        "attest": lambda: server.op_attest(body),
+        "admission": lambda: server.op_admission(body),
+        "challenge": lambda: server.op_challenge(body),
+    }[op]
+    try:
+        call()
+    except AnsError as exc:
+        assert exc.code != "INTERNAL", exc
 
 
 # -- resolve ------------------------------------------------------------------------
@@ -406,7 +521,9 @@ def test_metrics_histogram_counts_operations(server, rc, ca):
 
 
 def test_every_error_code_has_a_status():
-    assert set(STATUS_BY_CODE) == ERROR_CODES
+    defined = {value for key, value in vars(errors).items()
+               if key.isupper() and isinstance(value, str)}
+    assert set(STATUS_BY_CODE) == defined == ERROR_CODES
     for code, status in STATUS_BY_CODE.items():
         assert status in (400, 401, 403, 404, 409, 500), code
 
