@@ -46,6 +46,7 @@ LOG_CORRUPT = "LOG_CORRUPT"
 HANDSHAKE_TIMEOUT = "HANDSHAKE_TIMEOUT"
 
 # Server
+UNKNOWN_ROUTE = "UNKNOWN_ROUTE"
 INTERNAL = "INTERNAL"
 
 # Every code above, with the HTTP status the server answers it with.
@@ -71,6 +72,7 @@ STATUS_BY_CODE = {
     UNKNOWN_CAPABILITY: 403,
     REVOKED: 403,
     UNKNOWN_AGENT: 404,
+    UNKNOWN_ROUTE: 404,
     DUPLICATE_AGENT: 409,
     LOG_CORRUPT: 500,
     HANDSHAKE_TIMEOUT: 500,

@@ -93,7 +93,7 @@ def derive_did(public_key: bytes) -> str:
     return DID_PREFIX + encoded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapabilityCommitment:
     """Public half of a capability-scoped key, bound into agent certificates.
 
@@ -115,7 +115,7 @@ class CapabilityCommitment:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     serial: int
     subject_did: str
@@ -187,7 +187,7 @@ def canonical_cert_bytes(cert: Certificate) -> bytes:
     return encode_canonical(cert.unsigned_doc())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateChain:
     """agent -> intermediate -> root, in that order."""
 

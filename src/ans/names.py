@@ -30,8 +30,21 @@ from .errors import (
 PROTOCOLS = ("a2a", "mcp", "acp", "custom")
 
 MAX_LABEL_LENGTH = 63
-_LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?$")
-_NUMBER_RE = re.compile(r"^(0|[1-9][0-9]*)$")
+_NUMBER = r"(0|[1-9][0-9]*)"
+# Both are used with ``fullmatch``: ``$`` would also match before a final
+# newline, letting ``"ok\n"`` pass as a label.
+_LABEL_RE = re.compile(r"[a-z0-9]([a-z0-9-]*[a-z0-9])?")
+_NUMBER_RE = re.compile(_NUMBER)
+
+# A whole well-formed name in one pattern, the per-field rules spelled out:
+# a label of at most MAX_LABEL_LENGTH characters, numbers without leading
+# zeros, ASCII digits only. ``parse`` accepts what it matches and runs the
+# per-field checks only to say why a name is rejected.
+_LABEL = r"([a-z0-9](?:[a-z0-9-]{0,%d}[a-z0-9])?)" % (MAX_LABEL_LENGTH - 2)
+_NAME_RE = re.compile(
+    r"(%s)://%s\.%s\.%s\.v%s\.%s(?:\.%s)?\.%s"
+    % ("|".join(map(re.escape, PROTOCOLS)), _LABEL, _LABEL, _LABEL, _NUMBER, _NUMBER, _NUMBER,
+       _LABEL))
 
 
 def validate_label(value: str, field: str = "label") -> str:
@@ -40,7 +53,7 @@ def validate_label(value: str, field: str = "label") -> str:
         raise AnsError(INVALID_LABEL, f"{field} must be a non-empty string")
     if len(value) > MAX_LABEL_LENGTH:
         raise AnsError(INVALID_LABEL, f"{field} {value!r} exceeds {MAX_LABEL_LENGTH} characters")
-    if not _LABEL_RE.match(value):
+    if not _LABEL_RE.fullmatch(value):
         raise AnsError(
             INVALID_LABEL,
             f"{field} {value!r} must be lowercase alphanumerics with interior hyphens",
@@ -49,12 +62,12 @@ def validate_label(value: str, field: str = "label") -> str:
 
 
 def _parse_number(token: str, field: str) -> int:
-    if not _NUMBER_RE.match(token):
+    if not _NUMBER_RE.fullmatch(token):
         raise AnsError(INVALID_VERSION, f"{field} component {token!r} is not a plain decimal")
     return int(token)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """Two- or three-part semantic version. Absent patch orders as 0 but
     renders distinctly (``v1.2`` is not the same name as ``v1.2.0``)."""
@@ -87,7 +100,7 @@ def compare_versions(a: Version, b: Version) -> int:
     return (ka > kb) - (ka < kb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnsName:
     protocol: str
     agent_id: str
@@ -116,6 +129,17 @@ def parse(text: str) -> AnsName:
     Raises AnsError with code INVALID_PROTOCOL, INVALID_LABEL, INVALID_VERSION,
     or MALFORMED (wrong field count / missing scheme separator).
     """
+    match = _NAME_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return _parse_fields(text)
+    protocol, agent_id, capability, provider, major, minor, patch, extension = match.groups()
+    version = Version(int(major), int(minor), None if patch is None else int(patch))
+    return AnsName(protocol, agent_id, capability, provider, version, extension)
+
+
+def _parse_fields(text: str) -> AnsName:
+    """``parse`` by checking each field in turn, raising the error of the
+    first field that fails."""
     if not isinstance(text, str):
         raise AnsError(MALFORMED, "name must be a string")
     scheme, sep, rest = text.partition("://")

@@ -90,10 +90,11 @@ class AgentRecord:
     serve_until: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        certs = (self.chain.agent, self.chain.intermediate, self.chain.root)
-        object.__setattr__(self, "serve_from", max(c.not_before for c in certs))
+        agent, inter, root = self.chain.agent, self.chain.intermediate, self.chain.root
+        object.__setattr__(self, "serve_from",
+                           max(agent.not_before, inter.not_before, root.not_before))
         object.__setattr__(self, "serve_until",
-                           min(self.expires_at, *(c.not_after for c in certs)))
+                           min(self.expires_at, agent.not_after, inter.not_after, root.not_after))
 
     @functools.cached_property
     def doc(self) -> dict:
@@ -104,7 +105,10 @@ class AgentRecord:
     def doc_bytes(self) -> bytes:
         """Canonical bytes of the serialized form, cached: the record's log
         line, its register or renew reply and every resolve reply that
-        carries it share this one encoding."""
+        carries it share this one encoding. A record recovered from a
+        ``Registered`` line in the layout ``Registry._append`` writes starts
+        with the bytes it was logged as (``RecordDecoder.record``) and is
+        never encoded."""
         return canonical_bytes(self.to_doc())
 
     def to_doc(self) -> dict:
@@ -130,17 +134,23 @@ class RecordDecoder:
 
     Its table maps each distinct certificate document to one ``Certificate``.
     Documents are bucketed by their signature text and matched by full
-    equality with the document of a certificate already decoded, re-encoded
-    on a hit so the table holds no documents. Records whose chains share an
-    intermediate and a root therefore hold the same two objects, while a
-    document that differs in any field, even under the same signature,
-    decodes on its own. Within a record, the agent certificate reuses the
-    record's parsed name and decoded commitments when its own text for them
-    is the same. The table lives as long as the decoder.
+    equality with the document of a certificate already decoded. The first
+    match re-encodes the certificate and keeps the document it matched, so a
+    repeated certificate (an intermediate or root that many records share)
+    is compared with ``==`` from then on, while a certificate seen once holds
+    no document. Records whose chains share an intermediate and a root
+    therefore hold the same two objects, while a document that differs in
+    any field, even under the same signature, decodes on its own. Within a
+    record, the agent certificate reuses the record's parsed name and
+    decoded commitments when its own text for them is the same. The table
+    lives as long as the decoder.
     """
 
     def __init__(self) -> None:
+        # signature text -> the certificates decoded under it
         self._certificates: dict[str, list[Certificate]] = {}
+        # signature text -> (document, certificate) of those matched again
+        self._repeated: dict[str, list[tuple[dict, Certificate]]] = {}
 
     def _certificate(
         self,
@@ -148,15 +158,23 @@ class RecordDecoder:
         subject_name: AnsName | None,
         commitments: tuple[CapabilityCommitment, ...] | None,
     ) -> Certificate:
-        bucket = self._certificates.setdefault(doc["signature"], [])
+        signature = doc["signature"]
+        for known, cert in self._repeated.get(signature, ()):
+            if known == doc:
+                return cert
+        bucket = self._certificates.setdefault(signature, [])
         for cert in bucket:
             if cert.to_doc() == doc:
+                self._repeated.setdefault(signature, []).append((doc, cert))
                 return cert
         cert = Certificate.from_doc(doc, subject_name, commitments)
         bucket.append(cert)
         return cert
 
-    def record(self, doc: dict) -> AgentRecord:
+    def record(self, doc: dict, logged: bytes | None = None) -> AgentRecord:
+        """Decode a record document. ``logged``, when given, must be the
+        canonical bytes of ``doc``; the record serves them as its
+        ``doc_bytes`` instead of encoding itself."""
         name_text = doc["name"]
         name = names.parse(name_text)
         commitment_docs = doc["commitments"]
@@ -169,7 +187,7 @@ class RecordDecoder:
                 commitments if cert_doc.get("capability_commitments") == commitment_docs else None,
             )
 
-        return AgentRecord(
+        record = AgentRecord(
             name=name,
             did=doc["did"],
             endpoint=doc["endpoint"],
@@ -180,6 +198,9 @@ class RecordDecoder:
             expires_at=int(doc["expires_at"]),
             status=doc["status"],
         )
+        if logged is not None:
+            object.__setattr__(record, "doc_bytes", logged)
+        return record
 
 
 @dataclass(frozen=True)
@@ -232,7 +253,7 @@ def revocation_payload(name_text: str, ts: int) -> dict:
     return {"action": "revoke", "name": name_text, "ts": ts}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegistryEvent:
     seq: int
     kind: str
@@ -299,13 +320,18 @@ class EventLog:
     def read_events(path: str, after_seq: int = 0) -> Iterator[RegistryEvent]:
         """Yield events with seq > after_seq as they are read, enforcing dense
         ordering (see ``read_numbered``)."""
-        for _, event in EventLog.read_numbered(path, after_seq):
+        for _, event, _ in EventLog.read_numbered(path, after_seq):
             yield event
 
     @staticmethod
-    def read_numbered(path: str, after_seq: int = 0) -> Iterator[tuple[int, RegistryEvent]]:
-        """Yield (line number, event) for events with seq > after_seq as they
-        are read, enforcing dense ordering.
+    def read_numbered(
+        path: str, after_seq: int = 0,
+    ) -> Iterator[tuple[int, RegistryEvent, bytes | None]]:
+        """Yield (line number, event, line) for events with seq > after_seq
+        as they are read, enforcing dense ordering. ``line`` is the line as
+        read, newline included, or None when it holds fields beyond the
+        event's four, so that ``Registry._logged_record`` never takes an
+        extra field's text for part of the event's.
 
         A final line with no newline is a torn append, not an event: it is not
         yielded, and opening an ``EventLog`` on the file cuts it off. Every
@@ -319,11 +345,11 @@ class EventLog:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith(b"\n"):
                     return
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
                 try:
-                    event = RegistryEvent.from_doc(json.loads(line))
+                    doc = json.loads(line)
+                    event = RegistryEvent.from_doc(doc)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise AnsError(
                         LOG_CORRUPT,
@@ -338,7 +364,7 @@ class EventLog:
                         f"sequence gap at line {lineno}: expected {expected}, got {event.seq}",
                         details={"last_good_seq": last_good, "line": lineno},
                     )
-                yield lineno, event
+                yield lineno, event, line if len(doc) == 4 else None
                 last_good = event.seq
                 expected += 1
 
@@ -498,6 +524,20 @@ class Registry:
             self._log.append_line(b'{"at":%d,"kind":"%s","payload":%s,"seq":%d}'
                                   % (at, kind.encode("ascii"), payload, seq))
         self.last_seq = seq
+
+    @staticmethod
+    def _logged_record(event: RegistryEvent, line: bytes | None) -> bytes | None:
+        """The record's bytes inside a ``Registered`` line, if the line is in
+        exactly the layout ``_append`` writes, else None. The slice between
+        the fixed prefix and suffix is then the record's canonical text as it
+        was logged, duplicate JSON keys aside."""
+        if line is None or len(event.payload) != 1:
+            return None
+        prefix = b'{"at":%d,"kind":"Registered","payload":{"record":' % event.at
+        suffix = b'},"seq":%d}\n' % event.seq
+        if line.startswith(prefix) and line.endswith(suffix):
+            return line[len(prefix):-len(suffix)]
+        return None
 
     # -- write operations ----------------------------------------------------
 
@@ -801,9 +841,12 @@ class Registry:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    def _apply_event(self, event: RegistryEvent, decoder: RecordDecoder) -> None:
+    def _apply_event(self, event: RegistryEvent, decoder: RecordDecoder,
+                     line: bytes | None) -> None:
+        """Fold one event into the state. ``line`` is the event's logged text,
+        as ``EventLog.read_numbered`` yields it."""
         if event.kind == EVENT_REGISTERED:
-            record = decoder.record(event.payload["record"])
+            record = decoder.record(event.payload["record"], self._logged_record(event, line))
             self._store(record.name.render(), record)
         elif event.kind == EVENT_RENEWED:
             key = event.payload["name"]
@@ -832,10 +875,17 @@ class Registry:
 
         Each event is applied as it is read. The snapshot and the log share
         one ``RecordDecoder``, whose table decodes each distinct certificate
-        document once. Recovery trusts the log and verifies no signatures. A
-        torn final line (no newline) is skipped, then cut off the file when
-        the log is reopened for appends, so recovery yields the state of the
-        last whole event.
+        document once. A torn final line (no newline) is skipped, then cut
+        off the file when the log is reopened for appends, so recovery yields
+        the state of the last whole event.
+
+        Recovery trusts the log: it verifies no signatures, and it serves the
+        bytes it logged verbatim. A record from a ``Registered`` line in the
+        layout ``_append`` writes keeps that line's text of the record as its
+        ``doc_bytes``, so resolve replies carry it without encoding it again.
+        A line in any other layout, a snapshot record, and a record that a
+        ``Renewed`` or ``Revoked`` event replaces encode themselves on first
+        use.
         """
         registry = cls(policies=policies, trust_anchors=trust_anchors,
                        record_ttl_seconds=record_ttl_seconds, log=None, observe=observe)
@@ -854,14 +904,15 @@ class Registry:
             except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise AnsError(LOG_CORRUPT, f"malformed snapshot: {exc!r}") from exc
         if log_path is not None and os.path.exists(log_path):
-            for line, event in EventLog.read_numbered(log_path, after_seq=registry.last_seq):
+            for lineno, event, line in EventLog.read_numbered(log_path,
+                                                               after_seq=registry.last_seq):
                 try:
-                    registry._apply_event(event, decoder)
+                    registry._apply_event(event, decoder, line)
                 except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise AnsError(
                         LOG_CORRUPT,
-                        f"malformed {event.kind!r} event at line {line}: {exc}",
-                        details={"last_good_seq": registry.last_seq, "line": line},
+                        f"malformed {event.kind!r} event at line {lineno}: {exc}",
+                        details={"last_good_seq": registry.last_seq, "line": lineno},
                     ) from exc
         if log_path is not None:
             registry._log = EventLog(log_path, fsync=fsync)

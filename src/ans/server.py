@@ -14,7 +14,8 @@ Endpoints:
 
 Transport is plain HTTP/1.1: authenticity lives in the signed payloads and
 certificate chains, not the socket. Errors are ``{"error": code, "message",
-"details"?}`` with a fixed code-to-status mapping.
+"details"?}`` with a fixed code-to-status mapping; a method and path outside
+the table above is 404 ``UNKNOWN_ROUTE``.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, payload = self._ans().op_admission(self._read_body())
                 self._send_json(status, payload)
                 return
-            self._send_json(404, {"error": codes.UNKNOWN_AGENT, "message": f"no route {method} {path}"})
+            raise AnsError(codes.UNKNOWN_ROUTE, f"no route {method} {path}")
         except AnsError as exc:
             self._send_json(STATUS_BY_CODE[exc.code], exc.to_doc())
         except Exception as exc:  # pragma: no cover - last-resort guard

@@ -2,7 +2,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ans import names
 from ans.errors import AnsError
 from ans.names import (
     QUERY_PARAMS,
@@ -201,3 +203,116 @@ def test_query_params_reject_unknown_names():
         NameQuery.from_params({"capability": "cap-a", "colour": "blue"})
     assert err.value.code == "INVALID_NAME"
     assert "colour" in err.value.message
+
+
+# -- one pattern for well-formed names, per-field checks for the reason -----------------
+
+# Fragments near every edge of the grammar: case, label length 63 / 64,
+# hyphen placement, leading zeros, non-ASCII digits, newlines, dots.
+FRAGMENTS = (
+    "a", "ab", "a-b", "a--b", "-a", "a-", "A", "aB", "x1", "a" * 63, "a" * 64,
+    "a" + "-" * 61 + "b", "0", "00", "01", "10", "1", "v1", "v0", "v01", "V1", "v", "vv1",
+    "\u0661", "v\u0661", "\u00b2", "\uff11", "\u00e9", "a_b", "a b", "a\n", "\n", "", "v1\n",
+)
+PROTOCOL_TEXTS = ("a2a", "mcp", "acp", "custom", "A2A", "http", "a2a:", "")
+SEPARATORS = ("://", "://", "://", ":/", "//", "")
+VALID_TOKENS = (("ag", "cap", "prov", "v1", "2", "prod"), ("ag", "cap", "prov", "v1", "2", "3", "x"))
+
+
+@st.composite
+def name_texts(draw):
+    """Texts shaped like names: a valid name with up to three tokens
+    replaced, inserted or deleted, so most are one edit away from valid."""
+    tokens = list(draw(st.sampled_from(VALID_TOKENS)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        fragment = draw(st.one_of(st.sampled_from(FRAGMENTS),
+                                  st.text(alphabet="abz09v-.\nA\u0661", max_size=5)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "replace":
+            tokens[i] = fragment
+        elif edit == "insert":
+            tokens.insert(i, fragment)
+        elif len(tokens) > 1:
+            del tokens[i]
+    text = (draw(st.sampled_from(PROTOCOL_TEXTS)) + draw(st.sampled_from(SEPARATORS))
+            + ".".join(tokens))
+    return text + draw(st.sampled_from(("", "", "", "\n", ".", " ")))
+
+
+def _outcome(parse_text, text):
+    try:
+        return parse_text(text)
+    except AnsError as exc:
+        return exc.code
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=name_texts())
+def test_single_pattern_agrees_with_the_field_checks(text):
+    """The one compiled pattern accepts exactly what the per-field checks
+    accept, ``parse`` returns what they return (or raises their code), and
+    every accepted text renders back to itself, so no two texts alias one
+    name."""
+    fields = _outcome(names._parse_fields, text)
+    assert (names._NAME_RE.fullmatch(text) is not None) == isinstance(fields, AnsName), text
+    assert _outcome(parse, text) == fields
+    if isinstance(fields, AnsName):
+        assert fields.render() == text
+
+
+def test_single_pattern_agrees_on_every_one_fragment_edit():
+    """Every fragment in every token position of a valid name, exhaustively,
+    so each edge case meets each field at least once."""
+    for base in VALID_TOKENS:
+        for i in range(len(base)):
+            for fragment in FRAGMENTS:
+                for protocol in PROTOCOL_TEXTS:
+                    text = protocol + "://" + ".".join(base[:i] + (fragment,) + base[i + 1:])
+                    fields = _outcome(names._parse_fields, text)
+                    accepted = names._NAME_RE.fullmatch(text) is not None
+                    assert accepted == isinstance(fields, AnsName), text
+                    assert _outcome(parse, text) == fields
+
+
+LABELS = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?", fullmatch=True)
+NUMBERS = st.integers(0, 10**9).map(str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol=st.sampled_from(names.PROTOCOLS), labels=st.lists(LABELS, min_size=4, max_size=4),
+       numbers=st.lists(NUMBERS, min_size=2, max_size=3))
+def test_accepted_names_render_as_their_text(protocol, labels, numbers):
+    agent_id, capability, provider, extension = labels
+    text = f"{protocol}://{agent_id}.{capability}.{provider}.v{'.'.join(numbers)}.{extension}"
+    assert names._NAME_RE.fullmatch(text) is not None
+    assert parse(text) == names._parse_fields(text)
+    assert parse(text).render() == text
+
+
+@pytest.mark.parametrize("text", [
+    "a2a://x.cap.prov.v1\n.0.prod",
+    "a2a://x.cap.prov.v1.0\n.prod",
+    "a2a://x.cap.prov.v1.0.2\n.prod",
+    "a2a://x\n.cap.prov.v1.0.prod",
+    "a2a://x.cap.prov.v1.0.prod\n",
+])
+def test_newline_before_a_field_end_is_rejected(text):
+    with pytest.raises(AnsError):
+        parse(text)
+    with pytest.raises(AnsError):
+        names._parse_fields(text)
+
+
+def test_newline_labels_and_versions_are_rejected():
+    for value in ("ok\n", "ok\n\n", "\nok"):
+        with pytest.raises(AnsError) as err:
+            names.validate_label(value)
+        assert err.value.code == "INVALID_LABEL"
+    with pytest.raises(AnsError) as err:
+        Version.parse("1.2\n")
+    assert err.value.code == "INVALID_VERSION"
+    for params in ({"capability": "cap-a\n"}, {"env": "prod\n"}, {"version": "1.2\n"},
+                   {"capability": "cap-a", "version": ">=1.0\n"}):
+        with pytest.raises(AnsError):
+            NameQuery.from_params(params)

@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import gc
+import json
 import os
 import random
 import sys
 import tempfile
 import threading
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -39,6 +41,7 @@ from ans.policy import (
 from ans.registry import (
     EVENT_REGISTERED,
     EVENT_RENEWED,
+    STATUS_REVOKED,
     EventLog,
     RecordDecoder,
     Registry,
@@ -1087,6 +1090,164 @@ def test_logged_and_served_bytes_are_canonical_json(ca, seed, endpoint, extra):
     ]
     assert record.doc_bytes == canonical_json(record.to_doc()).encode()
     assert renewed.doc_bytes == canonical_json(renewed.to_doc()).encode()
+
+
+# -- recovered records serve the bytes they were logged as ------------------------------
+
+
+def _encoded_names(registry):
+    """The records whose ``doc_bytes`` encode themselves, by name, while the
+    bytes of every record in the registry are read."""
+    encoded = []
+    real = registry_module.canonical_bytes
+    with mock.patch.object(registry_module, "canonical_bytes",
+                           lambda value: encoded.append(value["name"]) or real(value)):
+        for record in registry.all_records():
+            record.doc_bytes
+    return encoded
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_recovered_records_serve_their_logged_bytes(ca, seed):
+    """After random registers, rotations, renewals and revocations, every
+    recovered record's bytes are the canonical encoding of its document. A
+    record whose last event is its ``Registered`` line serves that line's
+    bytes without encoding; exactly the renewed and revoked ones encode."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as workdir:
+        log_path = os.path.join(workdir, "events.log")
+        registry = Registry.recover(policies=ALLOW_ALL, trust_anchors=ca.anchors,
+                                    log_path=log_path, fsync=False)
+        identities = {}
+        now = NOW
+        for _ in range(rng.randrange(1, 20)):
+            now += rng.randrange(0, 30)
+            _random_step(registry, ca, rng, identities, now)
+        registry.close()
+        with open(log_path, "rb") as fh:
+            lines = fh.read().splitlines()
+        recovered = Registry.recover(policies=ALLOW_ALL, trust_anchors=ca.anchors,
+                                     log_path=log_path, fsync=False)
+        recovered.close()
+    last = {}  # name -> (kind, line) of the last event about it
+    for line in lines:
+        event = json.loads(line)
+        payload = event["payload"]
+        key = payload["record"]["name"] if event["kind"] == EVENT_REGISTERED else payload["name"]
+        last[key] = (event["kind"], line)
+    logged = {key: line for key, (kind, line) in last.items() if kind == EVENT_REGISTERED}
+    assert sorted(_encoded_names(recovered)) == sorted(set(last) - set(logged))
+    records = recovered.all_records()
+    assert sorted(r.name.render() for r in records) == sorted(last)
+    for record in records:
+        assert record.doc_bytes == canonical_bytes(record.to_doc())
+        line = logged.get(record.name.render())
+        if line is not None:
+            assert line == b'{"at":%d,"kind":"Registered","payload":{"record":%s},"seq":%d}' % (
+                json.loads(line)["at"], record.doc_bytes, json.loads(line)["seq"])
+
+
+def _relaid(event: dict, layout: str) -> bytes:
+    """A ``Registered`` event's line in a layout other than the appended one."""
+    if layout == "whitespace":
+        return json.dumps(event, sort_keys=True).encode()
+    if layout == "reordered":
+        return json.dumps(dict(reversed(event.items())), separators=(",", ":")).encode()
+    if layout == "extra-field":
+        return canonical_bytes({**event, "prev": {"sha256": "00" * 32}})
+    assert layout == "extra-payload-field"
+    return canonical_bytes({**event, "payload": {**event["payload"], "source": {"via": "x"}}})
+
+
+@pytest.mark.parametrize("layout", ["whitespace", "reordered", "extra-field",
+                                    "extra-payload-field"])
+def test_other_line_layouts_encode_on_first_use(tmp_path, allow_policies, ca, layout):
+    """A ``Registered`` line that is not byte for byte in the layout
+    ``_append`` writes recovers the same record, which encodes itself: no
+    slice of such a line is served. The untouched line beside it keeps its
+    logged bytes."""
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    _, record = register(registry, ca, make_name(0))
+    _, kept = register(registry, ca, make_name(1))
+    registry.close()
+    log_path = tmp_path / "events.log"
+    first, second = log_path.read_bytes().splitlines()
+    relaid = _relaid(json.loads(first), layout)
+    assert relaid != first and json.loads(relaid)["payload"]["record"] == record.to_doc()
+    log_path.write_bytes(relaid + b"\n" + second + b"\n")
+    recovered = _file_registry(tmp_path, allow_policies, ca)
+    recovered.close()
+    assert _encoded_names(recovered) == [record.name.render()]
+    by_name = {r.name.render(): r for r in recovered.all_records()}
+    assert by_name[record.name.render()].doc_bytes == record.doc_bytes
+    assert by_name[kept.name.render()].doc_bytes == kept.doc_bytes
+
+
+def test_renewed_and_revoked_records_serve_their_new_fields(tmp_path, allow_policies, ca):
+    """Replay replaces a record on ``Renewed`` and ``Revoked``; the
+    replacement drops the logged bytes and serves its new expiry or status."""
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    renewing, _ = register(registry, ca, make_name(0))
+    revoking, _ = register(registry, ca, make_name(1))
+    renewed_key, revoked_key = make_name(0).render(), make_name(1).render()
+    later = NOW + 600
+    signature = renewing.identity_keys.sign(canonical_bytes(renewal_payload(renewed_key, later)))
+    renewed = registry.renew(renewed_key, later, signature, later)
+    signature = revoking.identity_keys.sign(
+        canonical_bytes(revocation_payload(revoked_key, later)))
+    registry.revoke(revoked_key, later, signature, later)
+    registry.close()
+    recovered = _file_registry(tmp_path, allow_policies, ca)
+    recovered.close()
+    by_name = {r.name.render(): r for r in recovered.all_records()}
+    assert sorted(_encoded_names(recovered)) == sorted([renewed_key, revoked_key])
+    assert by_name[renewed_key].doc_bytes == renewed.doc_bytes
+    assert b'"expires_at":%d,' % renewed.expires_at in by_name[renewed_key].doc_bytes
+    revoked = by_name[revoked_key]
+    assert revoked.status == STATUS_REVOKED
+    assert b'"status":"revoked"}' in revoked.doc_bytes
+    assert revoked.doc_bytes == canonical_bytes(revoked.to_doc())
+
+
+def test_snapshot_records_encode_on_first_use(tmp_path, allow_policies, ca):
+    """A snapshot holds documents, not lines: its records encode themselves,
+    while the log suffix after it serves its logged bytes."""
+    snap_path = str(tmp_path / "snapshot.json")
+    registry = _file_registry(tmp_path, allow_policies, ca)
+    _, snapped = register(registry, ca, make_name(0))
+    registry.write_snapshot(snap_path)
+    register(registry, ca, make_name(1))
+    registry.close()
+    recovered = Registry.recover(policies=allow_policies, trust_anchors=ca.anchors,
+                                 log_path=str(tmp_path / "events.log"),
+                                 snapshot_path=snap_path, fsync=False)
+    recovered.close()
+    assert _encoded_names(recovered) == [snapped.name.render()]
+    for record in recovered.all_records():
+        assert record.doc_bytes == canonical_bytes(record.to_doc())
+
+
+def test_decoder_keeps_documents_only_of_repeated_certificates(registry, ca):
+    """The decoder holds a certificate's document once it has matched it a
+    second time, and a same-signature document that differs in a field still
+    decodes on its own after that."""
+    docs = _record_docs(registry, ca, 4)
+    decoder = RecordDecoder()
+    first = decoder.record(docs[0]).chain
+    assert decoder._repeated == {}
+    assert decoder.record(docs[1]).chain.intermediate is first.intermediate
+    held = [cert for bucket in decoder._repeated.values() for _, cert in bucket]
+    assert sorted(map(id, held)) == sorted(map(id, (first.intermediate, first.root)))
+
+    tampered = copy.deepcopy(docs[2])
+    tampered["chain"][1]["serial"] += 1  # same signature text, different document
+    record = decoder.record(tampered)
+    assert record.chain.intermediate is not first.intermediate
+    assert record.chain.intermediate == Certificate.from_doc(tampered["chain"][1])
+    assert record.chain.root is first.root
+    assert decoder.record(docs[3]).chain.intermediate is first.intermediate
+    assert decoder.record(tampered).chain.intermediate is record.chain.intermediate
 
 
 # -- wire registrations share issuers --------------------------------------------------

@@ -349,6 +349,26 @@ def test_resolve_body_is_canonical_json_of_the_answer(server, rc, ca):
     assert len(json.loads(_raw_resolve(server, {"capability": "cap-body"}))) == 2
 
 
+def test_restarted_server_serves_logged_bytes_as_canonical_json(server, rc, ca):
+    """A server recovered from the log (no snapshot) answers resolves with
+    the bytes its records were logged as, and those equal, byte for byte,
+    the canonical encoding of its answer."""
+    for i in (50, 51, 52):
+        _register(server, rc, ca, make_name(i, capability="cap-restart"), namespace=f"ns-{i}")
+    restarted = AnsServer(dataclasses.replace(server.config, snapshot_path=None))
+    restarted.start()
+    try:
+        records = restarted.registry.all_records()
+        assert len(records) == 3
+        assert all("doc_bytes" in vars(r) for r in records)  # set at recovery, not encoded
+        for params in ({"capability": "cap-restart"}, {"agent": "agent-051"}):
+            expected = restarted.registry.resolve(query_from_params(params), restarted.now())
+            assert _raw_resolve(restarted, params) == \
+                canonical_json([r.to_doc() for r in expected]).encode()
+    finally:
+        restarted.shutdown()
+
+
 def test_resolve_bad_protocol_400(server):
     try:
         urllib.request.urlopen(server.url + "/v1/resolve?protocol=xyz")
@@ -534,6 +554,7 @@ def test_unknown_route_404(server):
         assert False
     except urllib.error.HTTPError as err:
         assert err.code == 404
+        assert json.loads(err.read())["error"] == "UNKNOWN_ROUTE"
 
 
 # -- register and renew replies ------------------------------------------------------------
