@@ -36,6 +36,6 @@ from .policy import (
     load_policies,
 )
 from .registry import AgentRecord, RegistrationRequest, Registry
-from .server import AnsServer, ServerConfig, serve
+from .server import AnsServer, ServerConfig
 
 __version__ = "0.1.0"

@@ -297,7 +297,7 @@ def cmd_bench(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
     if args.output == "json":
-        print(canonical_json(doc))
+        print(json.dumps(doc, sort_keys=True))
     else:
         for op, budget in doc["budgets"].items():
             flag = "ok " if budget["pass"] else "FAIL"
@@ -320,7 +320,7 @@ def cmd_demo(args) -> int:
     ok = (report.success_rate == 1.0 and report.invalid_manifest_rejected
           and report.rollback_ok)
     if args.output == "json":
-        print(canonical_json(doc))
+        print(json.dumps(doc, sort_keys=True))
     else:
         print(f"agents: {doc['succeeded']}/{doc['agents']} full lifecycle "
               f"({doc['success_rate']:.0%})")

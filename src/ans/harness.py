@@ -12,15 +12,15 @@ environmental noise.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import random
 import shutil
-import statistics
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import attestation, client, names
 from .attestation import ChallengeStore
@@ -36,7 +36,7 @@ from .client import (
 from .errors import AnsError, TransportError
 from .identity import CaSetup, KeyPair, build_ca
 from .manifest import manifest_for_name
-from .metrics import quantile
+from .metrics import HistogramStats, Metrics
 from .names import AnsName, NameQuery, Version
 from .policy import Policy, PolicyRule, RuleConditions, RuleMatch, policies_to_doc
 from .registry import Registry
@@ -121,8 +121,7 @@ def harness_policies(extra_rules: tuple[PolicyRule, ...] = ()) -> list[Policy]:
 class _TempServer:
     """Server plus its scratch directory; always torn down."""
 
-    def __init__(self, ca: CaSetup, policies, record_ttl_seconds: int = 24 * 3600,
-                 fsync: bool = True):
+    def __init__(self, ca: CaSetup, policies):
         self.dir = tempfile.mkdtemp(prefix="ans-harness-")
         anchors_path = os.path.join(self.dir, "anchors.json")
         with open(anchors_path, "w", encoding="utf-8") as fh:
@@ -137,8 +136,6 @@ class _TempServer:
             policy_path=policy_path,
             log_path=self.log_path,
             snapshot_path=os.path.join(self.dir, "snapshot.json"),
-            fsync=fsync,
-            record_ttl_seconds=record_ttl_seconds,
         )
         self.server = AnsServer(config)
         self.server.start()
@@ -181,9 +178,6 @@ def _make_identity(ca: CaSetup, name: AnsName, endpoint: str = "http://127.0.0.1
 
 # -- benchmark -----------------------------------------------------------------
 
-_OPS = ("resolve", "attest", "renew", "register_new")
-
-
 def _draw_op(rng: random.Random) -> str:
     roll = rng.random()
     if roll < 0.80:
@@ -202,49 +196,13 @@ def workload_schedule(config: BenchConfig, agent_index: int, n_ops: int) -> list
     return [_draw_op(rng) for _ in range(n_ops)]
 
 
-@dataclass
-class _Sink:
-    """Contention-safe latency sink: workers append batches under one lock."""
-
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    samples: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    def extend(self, op: str, batch: list[tuple[float, float]]) -> None:
-        with self.lock:
-            self.samples.setdefault(op, []).extend(batch)
-
-    def error(self, message: str) -> None:
-        with self.lock:
-            self.errors.append(message)
-
-
-@dataclass(frozen=True)
-class OpStats:
-    count: int
-    mean_ms: float
-    p95_ms: float
-    p99_ms: float
-
-    def to_doc(self) -> dict:
-        return {"count": self.count, "mean_ms": round(self.mean_ms, 3),
-                "p95_ms": round(self.p95_ms, 3), "p99_ms": round(self.p99_ms, 3)}
-
-
-def _stats(samples: list[float]) -> OpStats:
-    if not samples:
-        return OpStats(0, 0.0, 0.0, 0.0)
-    return OpStats(
-        count=len(samples),
-        mean_ms=statistics.fmean(samples),
-        p95_ms=quantile(samples, 0.95),
-        p99_ms=quantile(samples, 0.99),
-    )
+# Operations the benchmark's clients time; the server times the other two.
+CLIENT_OPERATIONS = ("registration", "discovery", "capability_verification")
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    operations: dict[str, OpStats]
+    operations: dict[str, HistogramStats]
     throughput: dict[str, float]
     budgets: dict[str, dict]
     passed: bool
@@ -268,6 +226,30 @@ def _environment() -> dict[str, str]:
     }
 
 
+def _run_workers(what: str, workers) -> None:
+    """Call each ``worker(stop)`` in its own thread. The first ``AnsError`` or
+    ``TransportError`` sets ``stop`` for all of them; once every thread has
+    joined, ``RuntimeError`` reports the errors."""
+    stop = threading.Event()
+    errors: list[str] = []
+
+    def run(index: int, worker) -> None:
+        try:
+            worker(stop)
+        except (AnsError, TransportError) as exc:
+            errors.append(f"worker {index}: {exc}")
+            stop.set()
+
+    threads = [threading.Thread(target=run, args=entry, daemon=True)
+               for entry in enumerate(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise RuntimeError(f"{what} aborted: {errors[:3]}")
+
+
 def run_benchmark(config: BenchConfig = BenchConfig()) -> BenchReport:
     """Desk-scale benchmark: start a registry, spread n_agents over
     n_namespaces, register everyone, then run the seeded mixed workload
@@ -279,13 +261,12 @@ def run_benchmark(config: BenchConfig = BenchConfig()) -> BenchReport:
 
     ca = build_ca()
     harness_server = _TempServer(ca, harness_policies())
-    sink = _Sink()
-    stop = threading.Event()
+    # Operations that start before the warmup ends record apart.
+    warmup, measured = Metrics(CLIENT_OPERATIONS), Metrics(CLIENT_OPERATIONS)
     # shorter GIL slices keep tail latency down with ~100 live threads
     old_switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(0.001)
-    t0 = time.perf_counter()
-    warmup_end = t0 + config.warmup_seconds
+    warmup_end = time.perf_counter() + config.warmup_seconds
     deadline = warmup_end + config.duration_seconds
 
     seed_rng = random.Random(config.seed)
@@ -294,40 +275,32 @@ def run_benchmark(config: BenchConfig = BenchConfig()) -> BenchReport:
         name, namespace = _agent_name(i, config.n_namespaces, seed_rng)
         prepared.append((i, _make_identity(ca, name), namespace))
 
-    def worker(index: int, identity: AgentIdentity, namespace: str) -> None:
+    def metrics() -> Metrics:
+        return warmup if time.perf_counter() < warmup_end else measured
+
+    def worker(index: int, identity: AgentIdentity, namespace: str, stop) -> None:
         rng = random.Random(config.seed * 7919 + index)
         pace = random.Random(config.seed * 104729 + index)
-        local: dict[str, list[tuple[float, float]]] = {op: [] for op in
-                                                       ("registration", "discovery",
-                                                        "capability_verification")}
         registry_client = RegistryClient(harness_server.url)
         ephemeral = 0
-
-        def timed(op: str, fn) -> None:
-            start = time.perf_counter()
-            fn()
-            local[op].append((start - t0, (time.perf_counter() - start) * 1e3))
-
         try:
             # stagger startup across the warmup window so the initial burst of
             # registrations does not serialize behind itself
             time.sleep(pace.uniform(0, max(config.warmup_seconds - 1, 0)))
-            timed("registration",
-                  lambda: client.register_with(identity, harness_server.url, namespace,
-                                               client=registry_client))
+            with metrics().timed("registration"):
+                client.register_with(identity, harness_server.url, namespace,
+                                     client=registry_client)
             while not stop.is_set() and time.perf_counter() < deadline:
                 op = _draw_op(rng)
                 if op == "resolve":
                     capability = CAPABILITY_POOL[pace.randrange(len(CAPABILITY_POOL))]
-                    timed("discovery",
-                          lambda: client.discover(harness_server.url,
-                                                  NameQuery(capability=capability),
-                                                  client=registry_client))
+                    with metrics().timed("discovery"):
+                        client.discover(harness_server.url, NameQuery(capability=capability),
+                                        client=registry_client)
                 elif op == "attest":
-                    timed("capability_verification",
-                          lambda: client.attest_with(identity, harness_server.url,
-                                                     identity.name.capability,
-                                                     client=registry_client))
+                    with metrics().timed("capability_verification"):
+                        client.attest_with(identity, harness_server.url,
+                                           identity.name.capability, client=registry_client)
                 elif op == "renew":
                     client.renew_with(identity, harness_server.url, client=registry_client)
                 else:
@@ -343,67 +316,39 @@ def run_benchmark(config: BenchConfig = BenchConfig()) -> BenchReport:
                         extension="staging",
                     )
                     extra = _make_identity(ca, extra_name)
-                    timed("registration",
-                          lambda: client.register_with(extra, harness_server.url, namespace,
-                                                       client=registry_client))
+                    with metrics().timed("registration"):
+                        client.register_with(extra, harness_server.url, namespace,
+                                             client=registry_client)
                 time.sleep(pace.uniform(0.10, 0.30))
-        except (AnsError, TransportError) as exc:
-            sink.error(f"agent {index}: {exc}")
-            stop.set()
         finally:
             registry_client.close()
-            for op, batch in local.items():
-                sink.extend(op, batch)
-
-    threads = [threading.Thread(target=worker, args=entry, daemon=True) for entry in prepared]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
 
     try:
-        if sink.errors:
-            raise RuntimeError(f"benchmark aborted: {sink.errors[:3]}")
+        _run_workers("benchmark", [functools.partial(worker, *entry) for entry in prepared])
+        early, late = warmup.snapshot().histograms, measured.snapshot().histograms
+        # short runs: an operation with no sample after the warmup reports
+        # its warmup samples rather than none
+        operations = {op: late[op] if late[op].count else early[op]
+                      for op in CLIENT_OPERATIONS}
+        server = harness_server.server.metrics.snapshot().histograms
+        operations["policy_evaluation"] = server["policy_eval"]
+        operations["certificate_validation"] = server["chain_validation"]
 
-        warmup_offset = warmup_end - t0
-        wall: dict[str, list[float]] = {}
-        for op, batch in sink.samples.items():
-            wall[op] = [ms for (at, ms) in batch if at >= warmup_offset]
-            if not wall[op]:  # short runs: better all samples than none
-                wall[op] = [ms for (_, ms) in batch]
-
-        snapshot = harness_server.server.metrics.snapshot()
-        internal = {
-            "policy_evaluation": snapshot.histograms["policy_eval"],
-            "certificate_validation": snapshot.histograms["chain_validation"],
-        }
-        operations = {op: _stats(samples) for op, samples in wall.items()}
-        for op, stats in internal.items():
-            operations[op] = OpStats(
-                count=stats.count,
-                mean_ms=(stats.sum_ms / stats.count) if stats.count else 0.0,
-                p95_ms=stats.quantiles_ms["0.95"],
-                p99_ms=stats.quantiles_ms["0.99"],
-            )
-
-        elapsed = time.perf_counter() - warmup_end
-        registrations = len(sink.samples.get("registration", []))
-        resolves = len(sink.samples.get("discovery", []))
+        seconds = max(time.perf_counter() - warmup_end + config.warmup_seconds, 1e-9)
         throughput = {
-            "registrations_per_min": registrations / max(elapsed + config.warmup_seconds, 1e-9) * 60,
-            "resolves_per_sec": resolves / max(elapsed + config.warmup_seconds, 1e-9),
-            "policy_evals_per_sec": (
-                snapshot.histograms["policy_eval"].count
-                / max(elapsed + config.warmup_seconds, 1e-9)
-            ),
+            "registrations_per_min": (early["registration"].count
+                                      + late["registration"].count) / seconds * 60,
+            "resolves_per_sec": (early["discovery"].count + late["discovery"].count) / seconds,
+            "policy_evals_per_sec": server["policy_eval"].count / seconds,
         }
 
         budgets = {}
         passed = True
         for op, budget in LATENCY_BUDGET_P99_MS.items():
-            stats = operations.get(op, OpStats(0, 0.0, 0.0, 0.0))
-            ok = stats.count > 0 and stats.p99_ms <= budget
-            budgets[op] = {"p99_ms": round(stats.p99_ms, 3), "budget_ms": budget, "pass": ok}
+            stats = operations[op]
+            p99_ms = stats.quantiles_ms["0.99"]
+            ok = stats.count > 0 and p99_ms <= budget
+            budgets[op] = {"p99_ms": round(p99_ms, 3), "budget_ms": budget, "pass": ok}
             passed = passed and ok
 
         return BenchReport(
@@ -431,14 +376,12 @@ def run_registration_throughput(
     counts; the floor check belongs to the caller."""
     ca = build_ca()
     harness_server = _TempServer(ca, harness_policies())
-    sink = _Sink()
-    stop = threading.Event()
     interval = 60.0 * n_workers / target_per_minute
     t0 = time.perf_counter()
     completions: list[float] = []
     completions_lock = threading.Lock()
 
-    def worker(worker_index: int) -> None:
+    def worker(worker_index: int, stop) -> None:
         registry_client = RegistryClient(harness_server.url)
         rng = random.Random(seed + worker_index)
         count = 0
@@ -466,20 +409,14 @@ def run_registration_throughput(
                 with completions_lock:
                     completions.append(time.perf_counter() - t0)
                 next_at += interval
-        except (AnsError, TransportError) as exc:
-            sink.error(f"worker {worker_index}: {exc}")
-            stop.set()
         finally:
             registry_client.close()
 
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(n_workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    harness_server.close()
-    if sink.errors:
-        raise RuntimeError(f"throughput run aborted: {sink.errors[:3]}")
+    try:
+        _run_workers("throughput run",
+                     [functools.partial(worker, i) for i in range(n_workers)])
+    finally:
+        harness_server.close()
 
     n_minutes = duration_seconds // 60
     per_minute = [0] * max(n_minutes, 1)
@@ -505,7 +442,7 @@ def run_resolve_microbench(n_records: int = 50, n_resolves: int = 50_000,
     rng = random.Random(seed)
     for i in range(n_records):
         name, namespace = _agent_name(i, 5, rng)
-        identity = _make_identity(ca, name)
+        identity = _make_identity(ca, name, now=now)
         registry.register(client.build_registration_request(identity, namespace), now)
     queries = [NameQuery(capability=c) for c in CAPABILITY_POOL]
     start = time.perf_counter()
@@ -732,6 +669,9 @@ def run_security_suite(now: int | None = None) -> list[ScenarioResult]:
 # -- scripted demo -----------------------------------------------------------------
 
 
+DEMO_PHASES = ("admission", "registration", "discovery", "handshake", "capability", "renewal")
+
+
 @dataclass(frozen=True)
 class DemoReport:
     agents: int
@@ -739,7 +679,7 @@ class DemoReport:
     success_rate: float
     invalid_manifest_rejected: bool
     rollback_ok: bool
-    phases: dict[str, OpStats]
+    phases: dict[str, HistogramStats]
     event_kinds: list[str]
     elapsed_seconds: float
 
@@ -787,19 +727,9 @@ def run_demo(config: BenchConfig = BenchConfig(n_agents=50, n_namespaces=5, seed
     harness_server = _TempServer(ca, harness_policies())
     url = harness_server.url
     rng = random.Random(config.seed)
-    phase_samples: dict[str, list[float]] = {
-        p: [] for p in ("admission", "registration", "discovery",
-                        "handshake", "capability", "renewal")
-    }
+    phases = Metrics(DEMO_PHASES)
     peers: list[PeerServer] = []
     registry_client = RegistryClient(url)
-
-    def timed(phase: str, fn):
-        start = time.perf_counter()
-        out = fn()
-        phase_samples[phase].append((time.perf_counter() - start) * 1e3)
-        return out
-
     succeeded = 0
     try:
         identities: list[AgentIdentity] = []
@@ -815,18 +745,15 @@ def run_demo(config: BenchConfig = BenchConfig(n_agents=50, n_namespaces=5, seed
                 capabilities=tuple(identity.capabilities),
                 policies=("agent-security-policy", "data-access-policy"),
             )
-            decision = timed("admission",
-                             lambda: registry_client.post("/v1/admission/validate",
-                                                          manifest.to_doc()))
+            with phases.timed("admission"):
+                decision = registry_client.post("/v1/admission/validate", manifest.to_doc())
             if not decision["allowed"]:
                 continue
-            timed("registration",
-                  lambda: client.register_with(identity, url, namespaces[i],
-                                               client=registry_client))
-            found = timed("discovery",
-                          lambda: client.discover(url,
-                                                  NameQuery(capability=identity.name.capability),
-                                                  client=registry_client))
+            with phases.timed("registration"):
+                client.register_with(identity, url, namespaces[i], client=registry_client)
+            with phases.timed("discovery"):
+                found = client.discover(url, NameQuery(capability=identity.name.capability),
+                                        client=registry_client)
             if not any(r.name == identity.name for r in found):
                 continue
             succeeded += 1
@@ -840,20 +767,20 @@ def run_demo(config: BenchConfig = BenchConfig(n_agents=50, n_namespaces=5, seed
             host, port = peers[(i + 1) % len(peers)].address
             transport = TcpTransport.connect(host, port)
             try:
-                session = timed("handshake",
-                                lambda: client.initiate_handshake(
-                                    identity, transport, ca.anchors,
-                                    expected_name=peer.name))
-                verdict = timed("capability",
-                                lambda: client.request_capability(
-                                    session, transport, identity.name.capability, identity))
+                with phases.timed("handshake"):
+                    session = client.initiate_handshake(identity, transport, ca.anchors,
+                                                        expected_name=peer.name)
+                with phases.timed("capability"):
+                    verdict = client.request_capability(session, transport,
+                                                        identity.name.capability, identity)
                 if verdict.granted:
                     handshake_ok += 1
             finally:
                 transport.close()
 
         for identity in identities:
-            timed("renewal", lambda: client.renew_with(identity, url, client=registry_client))
+            with phases.timed("renewal"):
+                client.renew_with(identity, url, client=registry_client)
 
         succeeded = min(succeeded, handshake_ok)
 
@@ -883,7 +810,7 @@ def run_demo(config: BenchConfig = BenchConfig(n_agents=50, n_namespaces=5, seed
             success_rate=succeeded / config.n_agents,
             invalid_manifest_rejected=invalid_rejected,
             rollback_ok=rollback_ok,
-            phases={p: _stats(s) for p, s in phase_samples.items()},
+            phases=phases.snapshot().histograms,
             event_kinds=event_kinds,
             elapsed_seconds=time.perf_counter() - started,
         )

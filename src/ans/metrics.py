@@ -1,5 +1,9 @@
 """Operational counters, latency histograms, text exposition, and alerts.
 
+``Timer`` is the package's one latency clock: the server, the registry and
+the harness time their operations with it, reporting to an ``observe``
+callable such as ``Metrics.observe``.
+
 Counters are monotonic within a process lifetime. Histograms keep raw
 millisecond samples (bounded ring) so quantiles are computed from data, not
 buckets. The exposition is the common line-oriented text convention:
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,6 +42,9 @@ OPERATIONS = (
 
 QUANTILES = (0.5, 0.95, 0.99)
 
+# Raw samples kept per operation; count and sum cover every observation.
+MAX_SAMPLES_PER_OP = 50_000
+
 # 30 days, the certificate expiry warning horizon.
 CERT_EXPIRY_WARNING_S = 30 * 86400
 
@@ -50,11 +58,37 @@ def quantile(samples: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+class Timer:
+    """``with Timer(observe, operation):`` calls ``observe(operation, ms)``
+    when the block ends or raises. A plain class: it runs on every request."""
+
+    __slots__ = ("_observe", "_operation", "_start")
+
+    def __init__(self, observe, operation: str):
+        self._observe = observe
+        self._operation = operation
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self._observe(self._operation, (time.perf_counter() - self._start) * 1e3)
+
+
 @dataclass(frozen=True)
 class HistogramStats:
     count: int
     sum_ms: float
     quantiles_ms: dict[str, float]
+
+    @property
+    def mean_ms(self) -> float:
+        return self.sum_ms / self.count if self.count else 0.0
+
+    def to_doc(self) -> dict:
+        return {"count": self.count, "mean_ms": round(self.mean_ms, 3),
+                "p95_ms": round(self.quantiles_ms["0.95"], 3),
+                "p99_ms": round(self.quantiles_ms["0.99"], 3)}
 
 
 @dataclass(frozen=True)
@@ -65,16 +99,17 @@ class MetricsSnapshot:
 
 
 class Metrics:
-    """Thread-safe sink for counters and latency samples."""
+    """Thread-safe sink for counters and latency samples of ``operations``."""
 
-    def __init__(self, max_samples_per_op: int = 50_000):
+    def __init__(self, operations: tuple[str, ...] = OPERATIONS):
         self._lock = threading.Lock()
+        self._operations = operations
         self._counters = {name: 0 for name in COUNTERS}
         self._samples: dict[str, deque[float]] = {
-            op: deque(maxlen=max_samples_per_op) for op in OPERATIONS
+            op: deque(maxlen=MAX_SAMPLES_PER_OP) for op in operations
         }
-        self._counts = {op: 0 for op in OPERATIONS}
-        self._sums = {op: 0.0 for op in OPERATIONS}
+        self._counts = {op: 0 for op in operations}
+        self._sums = {op: 0.0 for op in operations}
 
     def inc(self, counter: str, by: int = 1) -> None:
         with self._lock:
@@ -86,12 +121,16 @@ class Metrics:
             self._counts[operation] += 1
             self._sums[operation] += latency_ms
 
+    def timed(self, operation: str) -> Timer:
+        """A ``Timer`` that observes into this sink."""
+        return Timer(self.observe, operation)
+
     def snapshot(self, records=(), now: int = 0,
                  cert_expiry_warning_s: int = CERT_EXPIRY_WARNING_S) -> MetricsSnapshot:
         with self._lock:
             counters = dict(self._counters)
             histograms = {}
-            for op in OPERATIONS:
+            for op in self._operations:
                 samples = list(self._samples[op])
                 histograms[op] = HistogramStats(
                     count=self._counts[op],

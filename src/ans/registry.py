@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -45,6 +44,7 @@ from .identity import (
     verify_signature,
     window_error,
 )
+from .metrics import Timer
 from .names import AnsName, NameQuery, compare_versions
 from .policy import EvaluationContext, PHASE_ADMISSION, PHASE_RUNTIME, PolicySubject, evaluate, explain
 
@@ -427,9 +427,9 @@ class Registry:
         self.trust_anchors = tuple(trust_anchors)
         self._policies = tuple(policies)
         self._log = log
-        # Latency sink: observe(operation, milliseconds). Feeds the
-        # chain_validation and policy_eval histograms without mislabeling
-        # whole endpoint bodies as core operations.
+        # observe(operation, milliseconds), the sink of the registry's Timer
+        # blocks: the chain_validation and policy_eval histograms, never
+        # whole endpoint bodies mislabeled as core operations.
         self._observe = observe
         self._lock = threading.RLock()
         self._records: dict[str, AgentRecord] = {}
@@ -441,13 +441,6 @@ class Registry:
         self._writes = 0
         self.verified: dict[tuple[bytes, bytes], Certificate] = {}
         self.last_seq = 0
-
-    def _timed(self, operation: str, fn, *args):
-        """``fn(*args)``, its latency observed under ``operation``."""
-        start = time.perf_counter()
-        result = fn(*args)
-        self._observe(operation, (time.perf_counter() - start) * 1e3)
-        return result
 
     # -- policies ------------------------------------------------------------
 
@@ -560,8 +553,9 @@ class Registry:
         except AnsError as exc:
             raise AnsError(INVALID_NAME, f"request name rejected: {exc.message}") from exc
 
-        self._timed("chain_validation", validate_chain, request.chain, self.trust_anchors,
-                    now, self.verified).raise_if_invalid()
+        with Timer(self._observe, "chain_validation"):
+            validation = validate_chain(request.chain, self.trust_anchors, now, self.verified)
+        validation.raise_if_invalid()
         try:
             return self._admit(parsed, request, now)
         except BaseException:
@@ -624,7 +618,8 @@ class Registry:
 
         with self._lock:
             ctx = EvaluationContext(self._subject_from_record(record), PHASE_ADMISSION, now)
-            decision = self._timed("policy_eval", evaluate, ctx, self._policies)
+            with Timer(self._observe, "policy_eval"):
+                decision = evaluate(ctx, self._policies)
             if not decision.allowed:
                 raise AnsError(POLICY_DENIED, "registration denied by policy",
                                details={"explain": explain(decision)})
@@ -702,7 +697,8 @@ class Registry:
         if memo is not None and memo[0] is record:
             return memo[1]
         ctx = EvaluationContext(self._subject_from_record(record), PHASE_RUNTIME, now)
-        allowed = self._timed("policy_eval", evaluate, ctx, self._policies).allowed
+        with Timer(self._observe, "policy_eval"):
+            allowed = evaluate(ctx, self._policies).allowed
         self._verdicts[key] = (record, allowed)
         return allowed
 

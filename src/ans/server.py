@@ -15,7 +15,8 @@ Endpoints:
 Transport is plain HTTP/1.1: authenticity lives in the signed payloads and
 certificate chains, not the socket. Errors are ``{"error": code, "message",
 "details"?}`` with a fixed code-to-status mapping; a method and path outside
-the table above is 404 ``UNKNOWN_ROUTE``.
+the table above is 404 ``UNKNOWN_ROUTE``. Bodies are framed by
+``Content-Length`` only, so a request with ``Transfer-Encoding`` is refused.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .canonical import canonical_json
 from .errors import STATUS_BY_CODE, AnsError, decode_doc
 from .identity import Certificate, CertificateChain
 from .manifest import validate_admission
-from .metrics import AlertConfig, Metrics, render_text
+from .metrics import Metrics, render_text
 from .policy import load_policies
 from .registry import AgentRecord, RegistrationRequest, Registry
 
@@ -57,6 +58,11 @@ class ServerConfig:
     record_ttl_seconds: int = 24 * 3600
     challenge_ttl_seconds: int = attestation.CHALLENGE_TTL_S
 
+    # The keys a config file may set, and the type of each value.
+    _FILE_TYPES = {"listen": str, "anchors_path": str, "policy_path": str, "log_path": str,
+                   "snapshot_path": str, "fsync": bool, "record_ttl_seconds": int,
+                   "challenge_ttl_seconds": int}
+
     _ENV_KEYS = {
         "listen": "ANS_LISTEN",
         "anchors_path": "ANS_ANCHORS_PATH",
@@ -67,7 +73,8 @@ class ServerConfig:
 
     @classmethod
     def load(cls, config_path: str | None = None, env: dict | None = None) -> "ServerConfig":
-        """File values, overridden by environment variables."""
+        """File values, overridden by environment variables. An unknown file
+        key or a wrongly typed value (a TTL is a positive int) is ``MALFORMED``."""
         env = os.environ if env is None else env
         values: dict = {}
         if config_path is not None:
@@ -76,10 +83,17 @@ class ServerConfig:
                     doc = json.load(fh)
                 except ValueError as exc:
                     raise AnsError(codes.MALFORMED, f"unreadable config: {exc}")
-            for key in ("listen", "anchors_path", "policy_path", "log_path", "snapshot_path",
-                        "fsync", "record_ttl_seconds", "challenge_ttl_seconds"):
-                if key in doc:
-                    values[key] = doc[key]
+            if not isinstance(doc, dict):
+                raise AnsError(codes.MALFORMED, "config must be a JSON object")
+            for key, value in doc.items():
+                kind = cls._FILE_TYPES.get(key)
+                if kind is None:
+                    raise AnsError(codes.MALFORMED, f"unknown config key {key!r}")
+                # type(), not isinstance(): a bool is not a TTL.
+                if type(value) is not kind or (kind is int and value <= 0):
+                    expected = "a positive int" if kind is int else f"a {kind.__name__}"
+                    raise AnsError(codes.MALFORMED, f"config key {key!r} must be {expected}")
+                values[key] = value
         for attr, env_key in cls._ENV_KEYS.items():
             if env.get(env_key):
                 values[attr] = env[env_key]
@@ -124,7 +138,6 @@ class AnsServer:
             observe=self.metrics.observe,
         )
         self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
-        self.alert_config = AlertConfig()
         host, port = config.host_port()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
@@ -165,17 +178,15 @@ class AnsServer:
     def op_register(self, body: dict) -> tuple[int, bytes]:
         """The reply body is the stored record's canonical bytes, the same
         bytes its log line embeds and later resolves reuse."""
-        start = time.perf_counter()
-        now = self.now()
-        request = decode_doc("registration body", RegistrationRequest.from_doc, body)
-        try:
-            record = self.registry.register(request, now)
-        except AnsError as exc:
-            if exc.code == codes.POLICY_DENIED:
-                self.metrics.inc("policy_violations_total")
-            raise
-        finally:
-            self.metrics.observe("registration", (time.perf_counter() - start) * 1e3)
+        with self.metrics.timed("registration"):
+            now = self.now()
+            request = decode_doc("registration body", RegistrationRequest.from_doc, body)
+            try:
+                record = self.registry.register(request, now)
+            except AnsError as exc:
+                if exc.code == codes.POLICY_DENIED:
+                    self.metrics.inc("policy_violations_total")
+                raise
         self.metrics.inc("registrations_total")
         return 201, record.doc_bytes
 
@@ -192,13 +203,10 @@ class AnsServer:
     def op_resolve(self, params: dict[str, str]) -> tuple[int, bytes]:
         """The reply body is the canonical JSON array of the hits, joined from
         each record's cached bytes."""
-        start = time.perf_counter()
-        try:
+        self.metrics.inc("discovery_queries_total")
+        with self.metrics.timed("discovery"):
             query = names.NameQuery.from_params(params)
             records = self.registry.resolve(query, self.now())
-        finally:
-            self.metrics.inc("discovery_queries_total")
-            self.metrics.observe("discovery", (time.perf_counter() - start) * 1e3)
         return 200, b"[" + b",".join(r.doc_bytes for r in records) + b"]"
 
     def op_challenge(self, body: dict) -> tuple[int, dict]:
@@ -210,9 +218,8 @@ class AnsServer:
         return 200, challenge.to_doc()
 
     def op_attest(self, body: dict) -> tuple[int, dict]:
-        start = time.perf_counter()
         self.metrics.inc("attestations_total")
-        try:
+        with self.metrics.timed("attestation"):
             proof = decode_doc("proof body", CapabilityProof.from_doc, body)
             record = self._record_or_404(proof.agent_name)
             commitment = next(
@@ -233,8 +240,6 @@ class AnsServer:
                 assert result.reason is not None
                 raise AnsError(result.reason, result.message)
             return 200, {"granted": True, "agent": proof.agent_name, "capability": proof.capability}
-        finally:
-            self.metrics.observe("attestation", (time.perf_counter() - start) * 1e3)
 
     def op_admission(self, body: dict) -> tuple[int, dict]:
         chain = None
@@ -257,11 +262,8 @@ class AnsServer:
 
     def op_metrics(self) -> str:
         now = self.now()
-        snapshot = self.metrics.snapshot(
-            records=self.registry.active_records(now), now=now,
-            cert_expiry_warning_s=self.alert_config.cert_expiry_warning_s,
-        )
-        return render_text(snapshot)
+        return render_text(self.metrics.snapshot(records=self.registry.active_records(now),
+                                                 now=now))
 
     def _record_or_404(self, name_text: str) -> AgentRecord:
         record = self.registry.get_active(name_text, self.now())
@@ -316,10 +318,11 @@ class _Handler(BaseHTTPRequestHandler):
         431 for a header line over 65,536 bytes or over 100 header lines,
         505 for HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes
         the connection, and ``Expect: 100-continue`` gets its interim reply.
-        Beyond the stdlib, a malformed header line and two different
-        ``Content-Length`` values get 400, and a malformed request line gets
-        a 400 with a status line and ``Connection: close`` rather than a bare
-        error page, HTTP/0.9 style."""
+        Beyond the stdlib, a malformed header line, two different
+        ``Content-Length`` values and any ``Transfer-Encoding`` get 400, and
+        a malformed request line gets a 400 with a status line and
+        ``Connection: close`` rather than a bare error page, HTTP/0.9 style.
+        Every refusal closes the connection."""
         self.command = None
         self.request_version = self.default_request_version
         self.close_connection = True
@@ -330,7 +333,8 @@ class _Handler(BaseHTTPRequestHandler):
         if len(words) >= 3:
             number = _version_number(words[-1])
             if number is None:
-                return self._refuse_request_line(f"Bad request version ({words[-1]!r})")
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
+                return False
             self.request_version = words[-1]
             if number >= (2, 0):
                 self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
@@ -338,12 +342,14 @@ class _Handler(BaseHTTPRequestHandler):
                 return False
             self.close_connection = number < (1, 1)
         if not 2 <= len(words) <= 3:
-            return self._refuse_request_line(f"Bad request syntax ({self.requestline!r})")
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                return self._refuse_request_line(f"Bad HTTP/0.9 request type ({command!r})")
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
         self.command = command
         # As the stdlib does: '//host/x' would read as a scheme-relative URL.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -370,6 +376,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_error(HTTPStatus.BAD_REQUEST, "Conflicting Content-Length values")
                 return False
             headers.setdefault(name, value)
+        if "transfer-encoding" in headers:
+            # A proxy that frames the body by its transfer coding would see
+            # one request where Content-Length framing sees two (RFC 9112 §11.2).
+            self.send_error(HTTPStatus.BAD_REQUEST, "Transfer-Encoding is not supported")
+            return False
 
         connection = headers.get("connection", "").lower()
         if connection == "close":
@@ -381,13 +392,18 @@ class _Handler(BaseHTTPRequestHandler):
             return self.handle_expect_100()
         return True
 
-    def _refuse_request_line(self, message: str) -> bool:
-        """Answer a malformed request line with a 400 that carries a status
-        line and ``Connection: close``; the stdlib writes those only once a
-        request's version is known to be above HTTP/0.9."""
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's refusals as JSON: ``MALFORMED`` under their own status,
+        and an unsupported method (501) as 404 ``UNKNOWN_ROUTE``, like an
+        unknown path. The request may be partly unread, so the connection closes."""
+        # A status line even before the request's version is known, where
+        # the stdlib would send a bare HTTP/0.9 page.
         self.request_version = self.protocol_version
-        self.send_error(HTTPStatus.BAD_REQUEST, message)
-        return False
+        error = codes.MALFORMED
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            code, error = HTTPStatus.NOT_FOUND, codes.UNKNOWN_ROUTE
+        self.close_connection = True
+        self._send_json(code, AnsError(error, message or self.responses[code][0]).to_doc())
 
     def _read_body(self) -> dict:
         length = self.headers.get("Content-Length", "0")
@@ -418,7 +434,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
     def _send_json(self, status: int, payload) -> None:
         self._send(status, "application/json", canonical_json(payload).encode("utf-8"))
@@ -429,6 +446,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path
+        # No GET route reads a body, and a body left unread would be parsed
+        # as the next request, so the connection closes after the reply.
+        if method == "GET" and self.headers.get("Content-Length", "0") != "0":
+            self.close_connection = True
         try:
             if method == "GET" and path == "/v1/healthz":
                 self._send_text(200, "ok")
@@ -467,6 +488,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, payload = self._ans().op_admission(self._read_body())
                 self._send_json(status, payload)
                 return
+            self.close_connection = True  # its body, if any, is unread
             raise AnsError(codes.UNKNOWN_ROUTE, f"no route {method} {path}")
         except AnsError as exc:
             self._send_json(STATUS_BY_CODE[exc.code], exc.to_doc())
@@ -481,10 +503,3 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         self._dispatch("DELETE")
-
-
-def serve(config: ServerConfig, clock=time.time) -> AnsServer:
-    """Recover state, bind the socket, and start serving in a thread."""
-    server = AnsServer(config, clock=clock)
-    server.start()
-    return server

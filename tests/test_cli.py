@@ -181,6 +181,26 @@ def test_cli_import_loads_no_client_harness_or_yaml():
     from ans.cli import load_identity, save_identity  # noqa: F401 - perfbench imports these
 
 
+@pytest.mark.parametrize("command", [
+    ["demo", "--agents", "4", "--namespaces", "2"],
+    ["bench", "--agents", "2", "--namespaces", "2", "--duration", "1", "--warmup", "1"],
+], ids=["demo", "bench"])
+def test_bench_and_demo_print_their_report_as_json(capsys, command):
+    main(["--output", "json", *command])
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["phases" if command[0] == "demo" else "operations"]["registration"]) == {
+        "count", "mean_ms", "p95_ms", "p99_ms"}
+
+
+def test_serve_with_an_ill_typed_config_exits_1_at_startup(tmp_path):
+    config = tmp_path / "server.json"
+    config.write_text(json.dumps({"listen": "127.0.0.1:0", "record_ttl_seconds": "3600"}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "ans.cli", "serve", "--config", str(config)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 1 and "'record_ttl_seconds'" in out.stderr
+
+
 def test_serve_subprocess_sigterm_snapshot(workdir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

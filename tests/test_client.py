@@ -166,6 +166,17 @@ def test_attest_with_round_trip(server, ca):
     assert result["granted"] is True
 
 
+def test_revoke_with_hides_the_agent_and_is_idempotent(server, ca):
+    identity = make_identity(ca, make_name(27, capability="cap-revoke"))
+    client.register_with(identity, server.url, "ns-0")
+    client.revoke_with(identity, server.url)
+    assert client.discover(server.url, NameQuery(capability="cap-revoke")) == []
+    with pytest.raises(AnsError) as err:
+        client.attest_with(identity, server.url, "cap-revoke")
+    assert err.value.code == "UNKNOWN_AGENT"
+    client.revoke_with(identity, server.url)
+
+
 # -- handshake --------------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from ans.harness import (
@@ -70,6 +73,15 @@ def test_policy_microbench_shape():
 def test_resolve_microbench_shape():
     result = run_resolve_microbench(n_records=20, n_resolves=2_000)
     assert result["per_second"] > 0
+
+
+def test_resolve_microbench_under_a_clock_that_ticks_every_call(monkeypatch):
+    # Every certificate is issued in a later second than the one the
+    # registrations are made at unless each is issued at that second.
+    ticks = itertools.count(int(time.time()))
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+    result = run_resolve_microbench(n_records=5, n_resolves=100)
+    assert result["resolves"] == 100
 
 
 def test_registration_throughput_short_window():

@@ -1,10 +1,18 @@
+import ast
 import math
+import pathlib
 import random
+import time
 
+import pytest
+
+import ans
 from ans.metrics import (
+    OPERATIONS,
     Alert,
     AlertConfig,
     Metrics,
+    Timer,
     evaluate_alerts,
     quantile,
     render_text,
@@ -131,3 +139,71 @@ def test_alert_doc_shape():
     alert = Alert("error-rate", "critical", "attestation", "boom")
     assert alert.to_doc() == {"rule_id": "error-rate", "severity": "critical",
                               "subject": "attestation", "message": "boom"}
+
+
+def test_timer_observes_a_block_that_ends_and_one_that_raises():
+    seen = []
+    with Timer(lambda op, ms: seen.append((op, ms)), "policy_eval"):
+        time.sleep(0.01)
+    with pytest.raises(KeyError):
+        with Timer(lambda op, ms: seen.append((op, ms)), "chain_validation"):
+            raise KeyError("boom")
+    assert [op for op, _ in seen] == ["policy_eval", "chain_validation"]
+    assert seen[0][1] >= 10 and seen[1][1] >= 0
+
+
+def test_metrics_record_only_the_operations_they_are_given():
+    metrics = Metrics(("handshake",))
+    with metrics.timed("handshake"):
+        pass
+    histograms = metrics.snapshot().histograms
+    assert list(histograms) == ["handshake"] and histograms["handshake"].count == 1
+    with pytest.raises(KeyError):
+        metrics.observe("discovery", 1.0)
+    assert list(Metrics().snapshot().histograms) == list(OPERATIONS)
+
+
+def test_histogram_stats_doc():
+    metrics = Metrics()
+    for ms in (1.0, 2.0, 4.0004):
+        metrics.observe("discovery", ms)
+    histograms = metrics.snapshot().histograms
+    assert histograms["discovery"].to_doc() == {
+        "count": 3, "mean_ms": 2.333, "p95_ms": 4.0, "p99_ms": 4.0}
+    assert histograms["registration"].to_doc() == {
+        "count": 0, "mean_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0}
+
+
+# -- one timing mechanism ---------------------------------------------------------
+
+def _is_perf_counter_call(node) -> bool:
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        (isinstance(func, ast.Attribute) and func.attr == "perf_counter")
+        or (isinstance(func, ast.Name) and func.id == "perf_counter"))
+
+
+def _latency_reports(path: pathlib.Path):
+    """(line, what) for each call of an ``observe``/``_observe`` attribute and
+    each ``perf_counter()`` difference multiplied by 1e3 in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("observe", "_observe")):
+            yield node.lineno, f"calls .{node.func.attr}"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for factor, other in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(factor, ast.Constant) and factor.value == 1e3
+                        and isinstance(other, ast.BinOp) and isinstance(other.op, ast.Sub)
+                        and any(_is_perf_counter_call(n) for n in ast.walk(other))):
+                    yield node.lineno, "turns a perf_counter() difference into ms"
+
+
+def test_latency_is_reported_only_through_the_metrics_timer():
+    """Outside ``metrics``, code times an operation with ``metrics.Timer``;
+    deadlines, pacing and elapsed seconds may still read the clock."""
+    package = pathlib.Path(ans.__file__).parent
+    found = [f"{path.name}:{line}: {what}" for path in sorted(package.glob("*.py"))
+             if path.name != "metrics.py" for line, what in _latency_reports(path)]
+    assert found == []
+    # The detector sees the one line that does it: the Timer's.
+    assert len({line for line, _ in _latency_reports(package / "metrics.py")}) == 1

@@ -104,6 +104,33 @@ def test_config_env_overrides(tmp_path):
     assert loaded.fsync is False
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"record_ttl_seconds": "3600"}, "record_ttl_seconds"),
+    ({"record_ttl_seconds": True}, "record_ttl_seconds"),
+    ({"challenge_ttl_seconds": 0}, "challenge_ttl_seconds"),
+    ({"fsync": "no"}, "fsync"),
+    ({"fsync": 0}, "fsync"),
+    ({"listen": 8400}, "listen"),
+    ({"log_path": None}, "log_path"),
+    ({"fsynk": False}, "fsynk"),
+], ids=["ttl-string", "ttl-bool", "ttl-zero", "fsync-string", "fsync-int", "listen-int",
+        "path-null", "misspelt-key"])
+def test_config_file_faults_are_malformed_at_load(tmp_path, doc, key):
+    config_file = tmp_path / "server.json"
+    config_file.write_text(json.dumps(doc))
+    with pytest.raises(AnsError) as err:
+        ServerConfig.load(str(config_file), env={})
+    assert err.value.code == "MALFORMED" and repr(key) in err.value.message
+
+
+def test_config_file_must_be_an_object(tmp_path):
+    config_file = tmp_path / "server.json"
+    config_file.write_text("[]")
+    with pytest.raises(AnsError) as err:
+        ServerConfig.load(str(config_file), env={})
+    assert err.value.code == "MALFORMED"
+
+
 # -- registration ------------------------------------------------------------------
 
 
@@ -678,6 +705,11 @@ PARSE_CASES = {
     "no-colon": (b"GET /v1/healthz HTTP/1.1\r\nHost x\r\n", 400, False),
     "space-before-colon": (b"GET /v1/healthz HTTP/1.1\r\nHost : x\r\n", 400, False),
     "folded-line": (b"GET /v1/healthz HTTP/1.1\r\nX-A: 1\r\n  2\r\n", 400, False),
+    "chunked": (b"POST /v1/challenge HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                400, False),
+    "chunked-and-content-length": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 4\r\n"
+                                   b"Transfer-Encoding: chunked\r\n\r\n", 400, False),
+    "unsupported-method": (b"PUT /v1/agents HTTP/1.1\r\n\r\n", 404, False),
 }
 
 
@@ -687,9 +719,11 @@ def test_request_parsing(server, request_bytes, status, stays_open):
     with socket.create_connection(server.address, timeout=5) as sock:
         sock.sendall(request_bytes)
         fh = sock.makefile("rb")
-        got, headers, _ = _read_response(fh)
+        got, headers, body = _read_response(fh)
         assert got == status
         assert (headers.get("connection") == "close") is not stays_open
+        if status != 200:
+            assert json.loads(body)["error"] in ERROR_CODES
         if stays_open:
             sock.sendall(HEALTHZ)
             assert _read_response(fh)[::2] == (200, b"ok")
@@ -715,3 +749,48 @@ def test_keep_alive_serves_twenty_requests_on_one_connection(server):
         for _ in range(20):
             sock.sendall(HEALTHZ)
             assert _read_response(fh)[::2] == (200, b"ok")
+
+
+def test_request_smuggled_behind_transfer_encoding_is_never_answered(server):
+    """TE.CL: framed by Transfer-Encoding this is one request; framed by its
+    Content-Length, the chunk after the size line is a second request."""
+    smuggled = b"GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+    chunk_size = b"%x\r\n" % len(smuggled)
+    assert len(chunk_size) == 4
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/challenge HTTP/1.1\r\nHost: x\r\n"
+                     b"Transfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\n"
+                     + chunk_size + smuggled + b"\r\n0\r\n\r\n")
+        fh = sock.makefile("rb")
+        status, headers, body = _read_response(fh)
+        assert status == 400 and headers["connection"] == "close"
+        assert json.loads(body)["error"] == "MALFORMED"
+        assert fh.read() == b""
+
+
+@pytest.mark.parametrize("request_line", [b"GET /v1/healthz", b"GET /v1/nope",
+                                          b"POST /v1/nope", b"DELETE /v1/nope"])
+def test_request_smuggled_in_an_unread_body_is_never_answered(server, request_line):
+    """CL.0: a route that reads no body must not parse it as a request."""
+    smuggled = b"GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request_line + b" HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+                     % len(smuggled) + smuggled)
+        fh = sock.makefile("rb")
+        _, headers, _ = _read_response(fh)
+        assert headers["connection"] == "close"
+        assert fh.read() == b""
+
+
+@pytest.mark.parametrize("method", [b"PUT", b"PATCH", b"HEAD"])
+def test_unsupported_methods_are_unknown_routes(server, method):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(method + b" /v1/healthz HTTP/1.1\r\n\r\n")
+        fh = sock.makefile("rb")
+        status, _, body = _read_response(fh)
+        assert status == 404
+        if method == b"HEAD":
+            assert body == b""
+        else:
+            assert json.loads(body)["error"] == "UNKNOWN_ROUTE"
+        assert fh.read() == b""
