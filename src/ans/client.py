@@ -602,13 +602,11 @@ class PeerServer:
         self.identity = identity
         self.trust_anchors = tuple(trust_anchors)
         self.challenges = ChallengeStore()
-        self.sessions: list[Session] = []
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen(32)
         self._stop = threading.Event()
-        self._lock = threading.Lock()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 
     @property
@@ -638,8 +636,6 @@ class PeerServer:
         transport = TcpTransport(conn)
         try:
             session = respond_handshake(self.identity, transport, self.trust_anchors)
-            with self._lock:
-                self.sessions.append(session)
             while not self._stop.is_set():
                 if serve_capability_request(session, transport, self.trust_anchors,
                                             self.challenges) is None:

@@ -2,12 +2,13 @@
 
 Every failure that crosses a module or wire boundary carries one of the codes
 below, and ``STATUS_BY_CODE`` gives each its HTTP status; the CLI maps codes to
-exit codes. Codes outside this set are a bug.
+exit codes. Codes outside this set are a bug. ``decode_doc`` and
+``read_fields`` turn a wrongly shaped document into one of these codes.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 # Name grammar
 INVALID_PROTOCOL = "INVALID_PROTOCOL"
@@ -111,6 +112,60 @@ def decode_doc(what: str, decode, doc):
         return decode(doc)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise AnsError(MALFORMED, f"bad {what}: {exc}") from exc
+
+
+class Check(NamedTuple):
+    """A test of one value for ``read_fields``, and what it expects."""
+
+    expected: str
+    accepts: Callable[[Any], bool]
+
+
+STRING = Check("a string", lambda v: isinstance(v, str))
+NON_EMPTY_STRING = Check("a non-empty string", lambda v: isinstance(v, str) and v != "")
+BOOL = Check("a bool", lambda v: isinstance(v, bool))
+MAP = Check("a map", lambda v: isinstance(v, dict))
+LIST = Check("a list", lambda v: isinstance(v, list))
+STRING_LIST = Check("a list of strings",
+                    lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))
+# type(), not isinstance(): a bool is not a count.
+NON_NEGATIVE_INT = Check("a non-negative integer", lambda v: type(v) is int and v >= 0)
+POSITIVE_INT = Check("a positive integer", lambda v: type(v) is int and v > 0)
+
+
+def one_of(*values) -> Check:
+    """Equal to one of ``values``."""
+    return Check(" or ".join(map(repr, values)), lambda v: v in values)
+
+
+_REQUIRED = object()
+
+
+def read_fields(doc, where: str, fields: dict, code: str = MALFORMED) -> dict:
+    """The values of the map ``doc`` under a closed schema.
+
+    ``fields`` maps every allowed key to a ``Check``, for a required key, or
+    to ``(check, default)``, for an optional one whose absence reads as
+    ``default``. A ``doc`` that is not a map, an unknown or missing key, and
+    a value its check refuses raise ``code``, naming ``where``.
+    """
+    if not isinstance(doc, dict):
+        raise AnsError(code, f"expected a map (at {where})")
+    for key in doc:
+        if key not in fields:
+            raise AnsError(code, f"unknown key {key!r} (at {where})")
+    values = {}
+    for key, field in fields.items():
+        check, default = (field, _REQUIRED) if isinstance(field, Check) else field
+        if key not in doc:
+            if default is _REQUIRED:
+                raise AnsError(code, f"missing required key {key!r} (at {where})")
+            values[key] = default
+        elif check.accepts(doc[key]):
+            values[key] = doc[key]
+        else:
+            raise AnsError(code, f"{key!r} must be {check.expected} (at {where})")
+    return values
 
 
 class TransportError(Exception):

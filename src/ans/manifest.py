@@ -22,7 +22,9 @@ import re
 from dataclasses import dataclass
 
 from . import names
-from .errors import AnsError, MALFORMED
+from .errors import (
+    MALFORMED, MAP, NON_NEGATIVE_INT, STRING, STRING_LIST, AnsError, Check, one_of, read_fields,
+)
 from .identity import CertificateChain, validate_chain
 from .names import AnsName
 from .policy import (
@@ -99,17 +101,22 @@ class AgentManifest:
         }
 
 
-def _schema_error(message: str, where: str) -> AnsError:
-    return AnsError(MALFORMED, f"manifest schema: {message} (at {where})")
-
-
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise _schema_error(f"missing required key {key!r}", where)
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise _schema_error(f"{key!r} has the wrong type", where)
-    return value
+_CAPABILITIES = Check("a non-empty list of strings", lambda v: STRING_LIST.accepts(v) and v != [])
+_TOP_LEVEL = {"apiVersion": one_of(API_VERSION), "kind": one_of(KIND), "metadata": MAP, "spec": MAP}
+_METADATA = {"name": STRING, "namespace": STRING}
+_SPEC = {
+    "ansName": STRING,
+    "capabilities": _CAPABILITIES,
+    "provider": STRING,
+    "version": STRING,
+    "environment": STRING,
+    "certificate": MAP,
+    "policies": (STRING_LIST, ()),
+    "resources": (MAP, {}),
+}
+_CERTIFICATE = {"issuer": STRING, "validity": STRING}
+_RESOURCES = {"cpu_millicores": (NON_NEGATIVE_INT, None),
+              "memory_mebibytes": (NON_NEGATIVE_INT, None)}
 
 
 def manifest_from_doc(doc) -> AgentManifest:
@@ -117,75 +124,22 @@ def manifest_from_doc(doc) -> AgentManifest:
 
     Raises MALFORMED for missing keys, wrong types, or unknown keys.
     """
-    if not isinstance(doc, dict):
-        raise _schema_error("document must be a map", "top level")
-    for key in doc:
-        if key not in ("apiVersion", "kind", "metadata", "spec"):
-            raise _schema_error(f"unknown key {key!r}", "top level")
-    api_version = _require(doc, "apiVersion", str, "top level")
-    kind = _require(doc, "kind", str, "top level")
-    if api_version != API_VERSION:
-        raise _schema_error(f"apiVersion must be {API_VERSION!r}", "apiVersion")
-    if kind != KIND:
-        raise _schema_error(f"kind must be {KIND!r}", "kind")
-
-    metadata = _require(doc, "metadata", dict, "top level")
-    for key in metadata:
-        if key not in ("name", "namespace"):
-            raise _schema_error(f"unknown key {key!r}", "metadata")
-    meta_name = _require(metadata, "name", str, "metadata")
-    namespace = _require(metadata, "namespace", str, "metadata")
-
-    spec = _require(doc, "spec", dict, "top level")
-    allowed_spec = ("ansName", "capabilities", "provider", "version", "environment",
-                    "certificate", "policies", "resources")
-    for key in spec:
-        if key not in allowed_spec:
-            raise _schema_error(f"unknown key {key!r}", "spec")
-    ans_name = _require(spec, "ansName", str, "spec")
-    capabilities = _require(spec, "capabilities", list, "spec")
-    if not capabilities or not all(isinstance(c, str) for c in capabilities):
-        raise _schema_error("capabilities must be a non-empty list of strings", "spec.capabilities")
-    provider = _require(spec, "provider", str, "spec")
-    version = _require(spec, "version", str, "spec")
-    environment = _require(spec, "environment", str, "spec")
-    cert_doc = _require(spec, "certificate", dict, "spec")
-    for key in cert_doc:
-        if key not in ("issuer", "validity"):
-            raise _schema_error(f"unknown key {key!r}", "spec.certificate")
-    issuer = _require(cert_doc, "issuer", str, "spec.certificate")
-    validity_text = _require(cert_doc, "validity", str, "spec.certificate")
-    validity_seconds = parse_duration(validity_text)
-    policies_doc = spec.get("policies", [])
-    if not isinstance(policies_doc, list) or not all(isinstance(p, str) for p in policies_doc):
-        raise _schema_error("policies must be a list of strings", "spec.policies")
-
-    cpu = memory = None
-    if "resources" in spec:
-        resources = spec["resources"]
-        if not isinstance(resources, dict):
-            raise _schema_error("resources must be a map", "spec.resources")
-        for key in resources:
-            if key not in ("cpu_millicores", "memory_mebibytes"):
-                raise _schema_error(f"unknown key {key!r}", "spec.resources")
-            value = resources[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise _schema_error("expected a non-negative integer", f"spec.resources.{key}")
-        cpu = resources.get("cpu_millicores")
-        memory = resources.get("memory_mebibytes")
-
+    top = read_fields(doc, "top level", _TOP_LEVEL)
+    metadata = read_fields(top["metadata"], "metadata", _METADATA)
+    spec = read_fields(top["spec"], "spec", _SPEC)
+    certificate = read_fields(spec["certificate"], "spec.certificate", _CERTIFICATE)
     return AgentManifest(
-        name=meta_name,
-        namespace=namespace,
-        ans_name_text=ans_name,
-        capabilities=tuple(capabilities),
-        provider=provider,
-        version=version,
-        environment=environment,
-        certificate=CertificateSpec(issuer, validity_text, validity_seconds),
-        policies=tuple(policies_doc),
-        cpu_millicores=cpu,
-        memory_mebibytes=memory,
+        name=metadata["name"],
+        namespace=metadata["namespace"],
+        ans_name_text=spec["ansName"],
+        capabilities=tuple(spec["capabilities"]),
+        provider=spec["provider"],
+        version=spec["version"],
+        environment=spec["environment"],
+        certificate=CertificateSpec(certificate["issuer"], certificate["validity"],
+                                    parse_duration(certificate["validity"])),
+        policies=tuple(spec["policies"]),
+        **read_fields(spec["resources"], "spec.resources", _RESOURCES),
     )
 
 

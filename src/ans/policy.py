@@ -21,7 +21,10 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import AnsError, POLICY_PARSE
+from .errors import (
+    LIST, NON_EMPTY_STRING, NON_NEGATIVE_INT, POLICY_PARSE, STRING, STRING_LIST, AnsError, Check,
+    one_of, read_fields,
+)
 from .names import AnsName
 
 PHASE_ADMISSION = "admission"
@@ -30,17 +33,25 @@ PHASE_RUNTIME = "runtime"
 EFFECT_ALLOW = "allow"
 EFFECT_DENY = "deny"
 
-_MATCH_KEYS = ("protocol", "provider", "environment", "capability", "namespace")
-_CONDITION_KEYS = (
-    "allowed_environments",
-    "provider_allowlist",
-    "capability_denylist",
-    "max_cert_validity_seconds",
-    "max_cpu_millicores",
-    "max_memory_mebibytes",
-)
-_RULE_KEYS = ("id", "effect", "match", "conditions")
-_POLICY_KEYS = ("id", "description", "rules")
+# null reads as an absent match or conditions map; any other non-map is refused.
+_MAP_OR_NULL = Check("a map or null", lambda v: v is None or isinstance(v, dict))
+_POLICY_FIELDS = {"id": NON_EMPTY_STRING, "description": (STRING, ""), "rules": (LIST, ())}
+_RULE_FIELDS = {
+    "id": NON_EMPTY_STRING,
+    "effect": one_of(EFFECT_ALLOW, EFFECT_DENY),
+    "match": (_MAP_OR_NULL, None),
+    "conditions": (_MAP_OR_NULL, None),
+}
+_MATCH_FIELDS = {key: (STRING, None)
+                 for key in ("protocol", "provider", "environment", "capability", "namespace")}
+_CONDITION_FIELDS = {
+    "allowed_environments": (STRING_LIST, None),
+    "provider_allowlist": (STRING_LIST, None),
+    "capability_denylist": (STRING_LIST, None),
+    "max_cert_validity_seconds": (NON_NEGATIVE_INT, None),
+    "max_cpu_millicores": (NON_NEGATIVE_INT, None),
+    "max_memory_mebibytes": (NON_NEGATIVE_INT, None),
+}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -140,85 +151,35 @@ class PolicyDecision:
     reasons: tuple[str, ...]
 
 
-def _parse_error(message: str, where: str) -> AnsError:
-    return AnsError(POLICY_PARSE, f"{message} (at {where})")
-
-
-def _require_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise _parse_error(f"unknown key {key!r}", where)
-
-
-def _string_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _parse_error("expected a list of strings", where)
-    return tuple(value)
-
-
-def _parse_conditions(doc, where: str) -> RuleConditions:
-    if doc is None:
-        return RuleConditions()
-    if not isinstance(doc, dict):
-        raise _parse_error("conditions must be a map", where)
-    _require_keys(doc, _CONDITION_KEYS, where)
-    kwargs: dict = {}
-    for key in ("allowed_environments", "provider_allowlist", "capability_denylist"):
-        if key in doc:
-            kwargs[key] = _string_list(doc[key], f"{where}.{key}")
-    for key in ("max_cert_validity_seconds", "max_cpu_millicores", "max_memory_mebibytes"):
-        if key in doc:
-            value = doc[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise _parse_error("expected a non-negative integer", f"{where}.{key}")
-            kwargs[key] = value
-    return RuleConditions(**kwargs)
+def _refuse_duplicate_ids(items, what: str, where: str) -> None:
+    seen: set[str] = set()
+    for item in items:
+        if item.id in seen:
+            raise AnsError(POLICY_PARSE, f"duplicate {what} id {item.id!r} (at {where})")
+        seen.add(item.id)
 
 
 def _parse_rule(doc, where: str) -> PolicyRule:
-    if not isinstance(doc, dict):
-        raise _parse_error("rule must be a map", where)
-    _require_keys(doc, _RULE_KEYS, where)
-    rule_id = doc.get("id")
-    if not isinstance(rule_id, str) or not rule_id:
-        raise _parse_error("rule id must be a non-empty string", where)
-    effect = doc.get("effect")
-    if effect not in (EFFECT_ALLOW, EFFECT_DENY):
-        raise _parse_error("effect must be 'allow' or 'deny'", f"{where}.effect")
-    match_doc = doc.get("match") or {}
-    if not isinstance(match_doc, dict):
-        raise _parse_error("match must be a map", f"{where}.match")
-    _require_keys(match_doc, _MATCH_KEYS, f"{where}.match")
-    for key, value in match_doc.items():
-        if not isinstance(value, str):
-            raise _parse_error("match values must be strings", f"{where}.match.{key}")
+    rule = read_fields(doc, where, _RULE_FIELDS, POLICY_PARSE)
+    match = read_fields(rule["match"] or {}, f"{where}.match", _MATCH_FIELDS, POLICY_PARSE)
+    conditions = read_fields(rule["conditions"] or {}, f"{where}.conditions",
+                             _CONDITION_FIELDS, POLICY_PARSE)
     return PolicyRule(
-        id=rule_id,
-        effect=effect,
-        match=RuleMatch(**match_doc),
-        conditions=_parse_conditions(doc.get("conditions"), f"{where}.conditions"),
+        id=rule["id"],
+        effect=rule["effect"],
+        match=RuleMatch(**match),
+        conditions=RuleConditions(**{k: (tuple(v) if isinstance(v, list) else v)
+                                     for k, v in conditions.items()}),
     )
 
 
 def _parse_policy(doc, where: str) -> Policy:
-    if not isinstance(doc, dict):
-        raise _parse_error("policy must be a map", where)
-    _require_keys(doc, _POLICY_KEYS, where)
-    policy_id = doc.get("id")
-    if not isinstance(policy_id, str) or not policy_id:
-        raise _parse_error("policy id must be a non-empty string", where)
-    rules_doc = doc.get("rules", [])
-    if not isinstance(rules_doc, list):
-        raise _parse_error("rules must be a list", f"{where}.rules")
+    policy = read_fields(doc, where, _POLICY_FIELDS, POLICY_PARSE)
     rules = tuple(
-        _parse_rule(rule, f"{where}.rules[{i}]") for i, rule in enumerate(rules_doc)
+        _parse_rule(rule, f"{where}.rules[{i}]") for i, rule in enumerate(policy["rules"])
     )
-    seen: set[str] = set()
-    for rule in rules:
-        if rule.id in seen:
-            raise _parse_error(f"duplicate rule id {rule.id!r}", where)
-        seen.add(rule.id)
-    return Policy(id=policy_id, description=doc.get("description", ""), rules=rules)
+    _refuse_duplicate_ids(rules, "rule", where)
+    return Policy(id=policy["id"], description=policy["description"], rules=rules)
 
 
 def load_policies(document: str) -> list[Policy]:
@@ -228,20 +189,11 @@ def load_policies(document: str) -> list[Policy]:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise AnsError(POLICY_PARSE, f"not a valid document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _parse_error("top level must be a map", "document")
-    _require_keys(doc, ("policies",), "document")
-    policies_doc = doc.get("policies", [])
-    if not isinstance(policies_doc, list):
-        raise _parse_error("policies must be a list", "document.policies")
+    top = read_fields(doc, "document", {"policies": (LIST, ())}, POLICY_PARSE)
     policies = [
-        _parse_policy(p, f"policies[{i}]") for i, p in enumerate(policies_doc)
+        _parse_policy(p, f"policies[{i}]") for i, p in enumerate(top["policies"])
     ]
-    seen: set[str] = set()
-    for policy in policies:
-        if policy.id in seen:
-            raise _parse_error(f"duplicate policy id {policy.id!r}", "document.policies")
-        seen.add(policy.id)
+    _refuse_duplicate_ids(policies, "policy", "document.policies")
     return policies
 
 

@@ -15,7 +15,8 @@ Endpoints:
 Transport is plain HTTP/1.1: authenticity lives in the signed payloads and
 certificate chains, not the socket. Errors are ``{"error": code, "message",
 "details"?}`` with a fixed code-to-status mapping; a method and path outside
-the table above is 404 ``UNKNOWN_ROUTE``. Bodies are framed by
+the table above is 404 ``UNKNOWN_ROUTE``, except that HEAD answers each GET
+route as GET does, without the body. Bodies are framed by
 ``Content-Length`` only, so a request with ``Transfer-Encoding`` is refused.
 """
 
@@ -33,7 +34,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
 from .canonical import canonical_json
-from .errors import STATUS_BY_CODE, AnsError, decode_doc
+from .errors import (
+    BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, decode_doc, read_fields,
+)
 from .identity import Certificate, CertificateChain
 from .manifest import validate_admission
 from .metrics import Metrics, render_text
@@ -58,10 +61,10 @@ class ServerConfig:
     record_ttl_seconds: int = 24 * 3600
     challenge_ttl_seconds: int = attestation.CHALLENGE_TTL_S
 
-    # The keys a config file may set, and the type of each value.
-    _FILE_TYPES = {"listen": str, "anchors_path": str, "policy_path": str, "log_path": str,
-                   "snapshot_path": str, "fsync": bool, "record_ttl_seconds": int,
-                   "challenge_ttl_seconds": int}
+    # The keys a config file may set, and the check on each value.
+    _FILE_CHECKS = {"listen": STRING, "anchors_path": STRING, "policy_path": STRING,
+                    "log_path": STRING, "snapshot_path": STRING, "fsync": BOOL,
+                    "record_ttl_seconds": POSITIVE_INT, "challenge_ttl_seconds": POSITIVE_INT}
 
     _ENV_KEYS = {
         "listen": "ANS_LISTEN",
@@ -78,37 +81,37 @@ class ServerConfig:
         env = os.environ if env is None else env
         values: dict = {}
         if config_path is not None:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                try:
-                    doc = json.load(fh)
-                except ValueError as exc:
-                    raise AnsError(codes.MALFORMED, f"unreadable config: {exc}")
-            if not isinstance(doc, dict):
-                raise AnsError(codes.MALFORMED, "config must be a JSON object")
-            for key, value in doc.items():
-                kind = cls._FILE_TYPES.get(key)
-                if kind is None:
-                    raise AnsError(codes.MALFORMED, f"unknown config key {key!r}")
-                # type(), not isinstance(): a bool is not a TTL.
-                if type(value) is not kind or (kind is int and value <= 0):
-                    expected = "a positive int" if kind is int else f"a {kind.__name__}"
-                    raise AnsError(codes.MALFORMED, f"config key {key!r} must be {expected}")
-                values[key] = value
+            where = f"config {config_path}"
+            with open(config_path, "rb") as fh:
+                doc = decode_doc(where, json.loads, fh.read())
+            values = read_fields(doc, where, {key: (check, getattr(cls, key))
+                                              for key, check in cls._FILE_CHECKS.items()})
         for attr, env_key in cls._ENV_KEYS.items():
             if env.get(env_key):
                 values[attr] = env[env_key]
         return cls(**values)
 
     def host_port(self) -> tuple[str, int]:
-        host, _, port = self.listen.rpartition(":")
+        """``listen`` as ``host:port``, whichever source set it; an empty host
+        is 127.0.0.1, and anything else is ``MALFORMED``."""
+        host, colon, port = self.listen.rpartition(":")
+        if not (colon and port.isascii() and port.isdigit() and len(port) <= 5
+                and int(port) <= 65535):
+            raise AnsError(codes.MALFORMED, f"'listen' must be host:port with a port "
+                                            f"from 0 to 65535, not {self.listen!r}")
         return host or "127.0.0.1", int(port)
 
 
 def load_anchors(path: str) -> tuple[Certificate, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The certificates of a JSON array file; a fault in it is ``MALFORMED``."""
+    with open(path, "rb") as fh:
+        return decode_doc(f"trust anchor file {path}", _anchors_from_json, fh.read())
+
+
+def _anchors_from_json(raw: bytes) -> tuple[Certificate, ...]:
+    doc = json.loads(raw)
     if not isinstance(doc, list):
-        raise AnsError(codes.MALFORMED, "trust anchor file must be an array of certificates")
+        raise TypeError("expected an array of certificates")
     return tuple(Certificate.from_doc(c) for c in doc)
 
 
@@ -122,6 +125,7 @@ class AnsServer:
     def __init__(self, config: ServerConfig, clock=time.time):
         self.config = config
         self.clock = clock
+        host, port = config.host_port()
         anchors = load_anchors(config.anchors_path) if config.anchors_path else ()
         policies = ()
         if config.policy_path:
@@ -138,7 +142,6 @@ class AnsServer:
             observe=self.metrics.observe,
         )
         self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
-        host, port = config.host_port()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.ans_server = self  # type: ignore[attr-defined]
@@ -242,16 +245,12 @@ class AnsServer:
             return 200, {"granted": True, "agent": proof.agent_name, "capability": proof.capability}
 
     def op_admission(self, body: dict) -> tuple[int, dict]:
-        chain = None
+        manifest_doc, chain = body, None
         if "manifest" in body:
-            manifest_doc = body["manifest"]
-            if "chain" in body:
-                chain = decode_doc("admission chain", CertificateChain.from_doc, body["chain"])
-            for key in body:
-                if key not in ("manifest", "chain"):
-                    raise AnsError(codes.MALFORMED, f"unknown admission key {key!r}")
-        else:
-            manifest_doc = body
+            envelope = read_fields(body, "admission body", {"manifest": MAP, "chain": (LIST, None)})
+            manifest_doc = envelope["manifest"]
+            if envelope["chain"] is not None:
+                chain = decode_doc("admission chain", CertificateChain.from_doc, envelope["chain"])
         result = validate_admission(
             manifest_doc, self.registry.policies, self.registry.trust_anchors,
             self.now(), chain=chain,
@@ -503,3 +502,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         self._dispatch("DELETE")
+
+    def do_HEAD(self) -> None:
+        """A GET without its body (RFC 9110 §9.3.2): ``_send`` leaves it out."""
+        self._dispatch("GET")

@@ -3,12 +3,15 @@
 Generated values are drawn from the full grammar (not just happy-path
 shapes): labels cover length 1..63 with interior hyphens and digits,
 versions cover both 2- and 3-component forms including zeros.
+``mutated`` is a Hypothesis strategy of near-miss JSON documents.
 """
 
 from __future__ import annotations
 
 import random
 import string
+
+from hypothesis import strategies as st
 
 from ans.names import AnsName, PROTOCOLS, Version
 
@@ -42,3 +45,38 @@ def random_name(rng: random.Random) -> AnsName:
         version=random_version(rng),
         extension=random_label(rng),
     )
+
+
+# A value of each JSON type, by its Python type.
+_JSON_BY_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.text(max_size=8),
+    list: st.lists(st.text(max_size=4) | st.integers(), max_size=3),
+    dict: st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one change at any depth: a key dropped from a map, an
+    unknown key added to one, or a value replaced by one of another JSON type."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.booleans()):
+        copy = dict(doc) if isinstance(doc, dict) else list(doc)
+        key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        copy[key] = draw(mutated(doc[key]))
+        return copy
+    changes = ["retype"]
+    if isinstance(doc, dict):
+        changes += ["add", "drop"] if doc else ["add"]
+    change = draw(st.sampled_from(changes))
+    if change == "drop":
+        key = draw(st.sampled_from(sorted(doc)))
+        return {k: v for k, v in doc.items() if k != key}
+    if change == "add":
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in doc))
+        return {**doc, key: draw(st.one_of(*_JSON_BY_TYPE.values()))}
+    other = draw(st.sampled_from([t for t in _JSON_BY_TYPE if t is not type(doc)]))
+    return draw(_JSON_BY_TYPE[other])

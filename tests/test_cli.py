@@ -201,6 +201,22 @@ def test_serve_with_an_ill_typed_config_exits_1_at_startup(tmp_path):
     assert out.returncode == 1 and "'record_ttl_seconds'" in out.stderr
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config-file"])
+def test_serve_with_a_non_numeric_listen_port_exits_1(tmp_path, monkeypatch, capsys, source):
+    argv = ["serve"]
+    if source == "flag":
+        argv += ["--listen", "127.0.0.1:abc"]
+    elif source == "env":
+        monkeypatch.setenv("ANS_LISTEN", "abc")
+    else:
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"listen": "abc"}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "MALFORMED" in err and "'listen'" in err
+
+
 def test_serve_subprocess_sigterm_snapshot(workdir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

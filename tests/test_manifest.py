@@ -1,5 +1,6 @@
 import pytest
 import yaml
+from hypothesis import given, settings
 
 from ans.errors import AnsError
 from ans.manifest import (
@@ -11,6 +12,7 @@ from ans.manifest import (
 )
 from ans import names
 from conftest import NOW, make_identity
+from genutil import mutated
 
 LISTING_MANIFEST_YAML = """
 apiVersion: ans.io/v1
@@ -160,6 +162,19 @@ def test_admission_resource_conditions(listing_doc):
     assert validate_admission(listing_doc, capped, (), NOW).allowed
     listing_doc["spec"]["resources"] = {"cpu_millicores": 4000}
     assert not validate_admission(listing_doc, capped, (), NOW).allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated(yaml.safe_load(LISTING_MANIFEST_YAML)))
+def test_mutated_manifest_loads_or_is_malformed(doc):
+    """One key dropped or added, or one value retyped, anywhere: the manifest
+    loads (and round-trips) or is refused as MALFORMED, never a Python error."""
+    try:
+        manifest = manifest_from_doc(doc)
+    except AnsError as exc:
+        assert exc.code == "MALFORMED", exc
+    else:
+        assert manifest_from_doc(manifest.to_doc()) == manifest
 
 
 def test_manifest_for_name_is_consistent():

@@ -3,8 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from ans.errors import AnsError
+from ans.harness import harness_policies
 from ans.metrics import quantile
 from ans.policy import (
     EvaluationContext,
@@ -22,6 +24,7 @@ from ans.policy import (
     policies_to_doc,
 )
 from conftest import NOW
+from genutil import mutated
 
 
 def subject(**overrides) -> PolicySubject:
@@ -88,11 +91,38 @@ def test_load_unknown_condition_key_rejected():
     '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "maybe"}]}]}',
     '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "match": {"x": "y"}}]}]}',
     '{"policies": [{"id": "p", "rules": []}, {"id": "p", "rules": []}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "match": []}]}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "match": 0}]}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "match": ""}]}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "conditions": []}]}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "conditions": 0}]}]}',
+    '{"policies": [{"id": "p", "rules": [{"id": "r", "effect": "allow", "conditions": ""}]}]}',
+    '{"policies": [{"id": "p", "description": 5, "rules": []}]}',
+    '{"policies": [{"id": "p", "description": null, "rules": []}]}',
 ])
 def test_load_rejects_malformed_documents(doc):
     with pytest.raises(AnsError) as err:
         load_policies(doc)
     assert err.value.code == "POLICY_PARSE"
+
+
+def test_load_reads_null_match_and_conditions_as_absent():
+    policies = load_policies('{"policies": [{"id": "p", "rules": [{"id": "r", '
+                             '"effect": "allow", "match": null, "conditions": null}]}]}')
+    assert policies == one_policy(allow("r"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated(policies_to_doc(harness_policies())))
+def test_mutated_policy_file_loads_or_is_a_parse_error(doc):
+    """One key dropped or added, or one value retyped, anywhere: the file
+    loads (and round-trips) or is refused as POLICY_PARSE, never a Python error."""
+    try:
+        policies = load_policies(json.dumps(doc))
+    except AnsError as exc:
+        assert exc.code == "POLICY_PARSE", exc
+    else:
+        assert load_policies(json.dumps(policies_to_doc(policies))) == policies
 
 
 def test_policies_doc_round_trip(allow_policies):

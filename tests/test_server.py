@@ -17,7 +17,7 @@ from ans.errors import ERROR_CODES, AnsError
 from ans.policy import policies_to_doc
 from ans.identity import ROLE_AGENT, issue_certificate
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
-from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig, query_from_params
+from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig, load_anchors, query_from_params
 from conftest import NOW, make_identity, make_name
 from test_manifest import LISTING_MANIFEST_YAML
 
@@ -121,6 +121,32 @@ def test_config_file_faults_are_malformed_at_load(tmp_path, doc, key):
     with pytest.raises(AnsError) as err:
         ServerConfig.load(str(config_file), env={})
     assert err.value.code == "MALFORMED" and repr(key) in err.value.message
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:abc", "abc", "127.0.0.1:65536", "127.0.0.1:",
+                                    "127.0.0.1:-1", "127.0.0.1:" + "9" * 5000],
+                         ids=["port-abc", "no-port", "port-65536", "empty-port", "port-minus-1",
+                              "port-5000-digits"])
+def test_listen_outside_host_port_is_malformed(listen):
+    with pytest.raises(AnsError) as err:
+        ServerConfig(listen=listen).host_port()
+    assert err.value.code == "MALFORMED" and "'listen'" in err.value.message
+
+
+@pytest.mark.parametrize("listen,address", [("127.0.0.1:0", ("127.0.0.1", 0)),
+                                            (":65535", ("127.0.0.1", 65535))])
+def test_listen_host_port(listen, address):
+    assert ServerConfig(listen=listen).host_port() == address
+
+
+@pytest.mark.parametrize("text", ["not json", "{}", '[{"subject_did": "x"}]'],
+                         ids=["not-json", "not-an-array", "no-serial"])
+def test_malformed_trust_anchor_file_is_malformed(tmp_path, text):
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(text)
+    with pytest.raises(AnsError) as err:
+        load_anchors(str(anchors))
+    assert err.value.code == "MALFORMED" and str(anchors) in err.value.message
 
 
 def test_config_file_must_be_an_object(tmp_path):
@@ -663,7 +689,8 @@ def test_expired_agent_certificate_hidden_on_the_wire(tmp_path, ca, allow_polici
 HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
-def _read_response(fh) -> tuple[int, dict, bytes]:
+def _read_head(fh) -> tuple[int, dict]:
+    """A reply's status and headers, reading nothing after the blank line."""
     first = fh.readline()
     assert first.startswith(b"HTTP/1.1 "), first  # a status line, never a bare page
     status = int(first.split()[1])
@@ -671,6 +698,11 @@ def _read_response(fh) -> tuple[int, dict, bytes]:
     while (line := fh.readline()) not in (b"\r\n", b""):
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    return status, headers
+
+
+def _read_response(fh) -> tuple[int, dict, bytes]:
+    status, headers = _read_head(fh)
     return status, headers, fh.read(int(headers.get("content-length", 0)))
 
 
@@ -782,15 +814,38 @@ def test_request_smuggled_in_an_unread_body_is_never_answered(server, request_li
         assert fh.read() == b""
 
 
-@pytest.mark.parametrize("method", [b"PUT", b"PATCH", b"HEAD"])
+@pytest.mark.parametrize("method", [b"PUT", b"PATCH"])
 def test_unsupported_methods_are_unknown_routes(server, method):
     with socket.create_connection(server.address, timeout=5) as sock:
         sock.sendall(method + b" /v1/healthz HTTP/1.1\r\n\r\n")
         fh = sock.makefile("rb")
         status, _, body = _read_response(fh)
         assert status == 404
-        if method == b"HEAD":
-            assert body == b""
-        else:
-            assert json.loads(body)["error"] == "UNKNOWN_ROUTE"
+        assert json.loads(body)["error"] == "UNKNOWN_ROUTE"
+        assert fh.read() == b""
+
+
+@pytest.mark.parametrize("path", ["/v1/healthz", "/v1/resolve?environment=prod",
+                                  "/v1/resolve?bogus=1", "/v1/metrics"])
+def test_head_answers_a_get_route_like_get_without_the_body(server, rc, ca, path):
+    _register(server, rc, ca)
+    with socket.create_connection(server.address, timeout=5) as sock:
+        fh = sock.makefile("rb")
+        sock.sendall(b"GET %s HTTP/1.1\r\n\r\n" % path.encode())
+        get_status, get_headers, _ = _read_response(fh)
+        # The HEAD reply is followed at once by the next reply's status line.
+        sock.sendall(b"HEAD %s HTTP/1.1\r\n\r\nGET /v1/healthz HTTP/1.1\r\n\r\n"
+                     % path.encode())
+        status, headers = _read_head(fh)
+        assert _read_response(fh)[::2] == (200, b"ok")
+    assert (status, headers) == (get_status, get_headers)
+
+
+@pytest.mark.parametrize("path", ["/v1/nope", "/v1/agents", "/v1/challenge"])
+def test_head_on_any_other_path_is_an_unknown_route(server, path):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"HEAD %s HTTP/1.1\r\n\r\n" % path.encode())
+        fh = sock.makefile("rb")
+        status, headers = _read_head(fh)
+        assert status == 404 and headers["connection"] == "close"
         assert fh.read() == b""
