@@ -14,7 +14,7 @@ replayed concurrently or later is rejected with NONCE_REPLAY.
 
 from __future__ import annotations
 
-import secrets
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -120,7 +120,7 @@ class ChallengeStore:
     def issue(self, audience: names.AnsName | str, now: int) -> Challenge:
         rendered = audience.render() if isinstance(audience, names.AnsName) else audience
         challenge = Challenge(
-            nonce=secrets.token_bytes(32),
+            nonce=os.urandom(32),
             issued_at=now,
             expires_at=now + self.ttl_seconds,
             audience=rendered,

@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING
 
 from . import names
 from .canonical import canonical_json
-from .errors import DENIAL_CODES, AnsError, TransportError
+from .errors import DENIAL_CODES, MALFORMED, AnsError, TransportError
 from .identity import Certificate, CertificateChain, KeyPair, build_ca, derive_did
 from .manifest import parse_duration, validate_admission
-from .policy import load_policies
+from .policy import load_policy_file
 from .server import AnsServer, ServerConfig, load_anchors
 
 if TYPE_CHECKING:
@@ -59,11 +59,16 @@ def _load_json(path: str):
 
 
 def _load_manifest_doc(path: str):
-    """Manifests arrive as YAML-shaped documents or plain canonical text."""
+    """Manifests arrive as YAML-shaped documents or plain canonical text;
+    bytes that are neither are ``MALFORMED``."""
     import yaml
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise AnsError(MALFORMED, f"bad manifest {path}: {exc}") from exc
 
 
 def save_identity(path: str, identity: AgentIdentity, namespace: str | None = None) -> None:
@@ -214,8 +219,7 @@ def cmd_attest(args) -> int:
 
 
 def cmd_policy_test(args) -> int:
-    with open(args.policy, "r", encoding="utf-8") as fh:
-        policies = load_policies(fh.read())
+    policies = load_policy_file(args.policy)
     doc = _load_manifest_doc(args.manifest)
     result = validate_admission(doc, policies, (), int(time.time()))
     from .policy import PolicyDecision, explain
@@ -236,8 +240,7 @@ def cmd_admission_validate(args) -> int:
         if not args.policy:
             print("error: need --registry or --policy", file=sys.stderr)
             return EXIT_USAGE
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            policies = load_policies(fh.read())
+        policies = load_policy_file(args.policy)
         anchors = load_anchors(args.anchors) if args.anchors else ()
         result_doc = validate_admission(doc, policies, anchors, int(time.time())).to_doc()
     allowed = result_doc["allowed"]

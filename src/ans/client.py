@@ -23,8 +23,8 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import os
 import queue
-import secrets
 import socket
 import struct
 import threading
@@ -232,14 +232,16 @@ def register_with(identity: AgentIdentity, registry_url: str, namespace: str,
                   client: RegistryClient | None = None) -> AgentRecord:
     request = build_registration_request(identity, namespace)
     with _client(registry_url, client) as own:
-        return AgentRecord.from_doc(own.post("/v1/agents", request.to_doc()))
+        return decode_doc("register reply", AgentRecord.from_doc,
+                          own.post("/v1/agents", request.to_doc()))
 
 
 def renew_with(identity: AgentIdentity, registry_url: str,
                client: RegistryClient | None = None, now: int | None = None) -> AgentRecord:
     quoted, body = _control_body(identity, renewal_payload, now)
     with _client(registry_url, client) as own:
-        return AgentRecord.from_doc(own.post(f"/v1/agents/{quoted}/renew", body))
+        return decode_doc("renew reply", AgentRecord.from_doc,
+                          own.post(f"/v1/agents/{quoted}/renew", body))
 
 
 def revoke_with(identity: AgentIdentity, registry_url: str,
@@ -254,14 +256,21 @@ def discover(registry_url: str, query: NameQuery,
     """Thin wrapper over /v1/resolve preserving the server's ordering."""
     path = "/v1/resolve?" + urllib.parse.urlencode(query.to_params())
     with _client(registry_url, client) as own:
-        decoder = RecordDecoder()  # records in one reply share issuers
-        return [decoder.record(d) for d in own.get(path)]
+        return decode_doc("resolve reply", _records, own.get(path))
+
+
+def _records(doc) -> list[AgentRecord]:
+    if not isinstance(doc, list):
+        raise TypeError("expected an array of records")
+    decoder = RecordDecoder()  # records in one reply share issuers
+    return [decoder.record(d) for d in doc]
 
 
 def request_challenge(registry_url: str, name: AnsName,
                       client: RegistryClient | None = None) -> Challenge:
     with _client(registry_url, client) as own:
-        return Challenge.from_doc(own.post("/v1/challenge", {"name": name.render()}))
+        return decode_doc("challenge reply", Challenge.from_doc,
+                          own.post("/v1/challenge", {"name": name.render()}))
 
 
 def attest_with(identity: AgentIdentity, registry_url: str, capability: str,
@@ -466,7 +475,7 @@ def initiate_handshake(
     if now is None:
         now = int(time.time())
     serial_i = identity.chain.agent.serial
-    nonce_i = secrets.token_bytes(32)
+    nonce_i = os.urandom(32)
     _send_doc(transport, {
         "type": "hello",
         "chain": identity.chain.to_doc(),
@@ -497,7 +506,7 @@ def respond_handshake(
     hello = _recv_doc(transport, timeout, "hello")
     with _aborting(transport):
         peer_chain, nonce_i = _peer_hello(hello, trust_anchors, now, None)
-    nonce_r = secrets.token_bytes(32)
+    nonce_r = os.urandom(32)
     sig_r = identity.identity_keys.sign(
         _handshake_digest(peer_chain.agent.serial, nonce_i, nonce_r)
     )

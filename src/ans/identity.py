@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
-import secrets
+import os
+import random
 import time
 from dataclasses import dataclass, replace
 
@@ -22,10 +22,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import names
-from .canonical import canonical_bytes as encode_canonical
+from .canonical import canonical_bytes as encode_canonical, sha256
 from .errors import (
     AnsError,
     CERT_EXPIRED,
@@ -61,11 +60,11 @@ class KeyPair:
     def generate(cls, seed: bytes | None = None) -> "KeyPair":
         """Deterministic for a fixed 32-byte seed; otherwise uses the OS CSPRNG."""
         if seed is None:
-            seed = secrets.token_bytes(32)
+            seed = os.urandom(32)
         if len(seed) != 32:
             raise ValueError("seed must be exactly 32 bytes")
         private = Ed25519PrivateKey.from_private_bytes(seed)
-        public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        public = private.public_key().public_bytes_raw()
         return cls(public_key=public, private_key=seed)
 
     @functools.cached_property
@@ -88,8 +87,7 @@ def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> boo
 
 def derive_did(public_key: bytes) -> str:
     """``did:ans:<base32(sha256(public_key))>``, deterministic and unpadded."""
-    digest = hashlib.sha256(public_key).digest()
-    encoded = base64.b32encode(digest).decode("ascii").rstrip("=").lower()
+    encoded = base64.b32encode(sha256(public_key)).decode("ascii").rstrip("=").lower()
     return DID_PREFIX + encoded
 
 
@@ -211,7 +209,7 @@ class CertificateChain:
 
 
 def _random_serial() -> int:
-    return secrets.randbits(63)
+    return random.SystemRandom().getrandbits(63)
 
 
 def issue_certificate(

@@ -182,12 +182,13 @@ def _parse_policy(doc, where: str) -> Policy:
     return Policy(id=policy["id"], description=policy["description"], rules=rules)
 
 
-def load_policies(document: str) -> list[Policy]:
+def load_policies(document: str | bytes) -> list[Policy]:
     """Parse a policy file: canonical-text document with a top-level
-    ``policies`` array. Unknown keys anywhere are POLICY_PARSE errors."""
+    ``policies`` array. Bytes that do not decode as JSON text, and unknown
+    keys anywhere, are POLICY_PARSE errors."""
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise AnsError(POLICY_PARSE, f"not a valid document: {exc}") from exc
     top = read_fields(doc, "document", {"policies": (LIST, ())}, POLICY_PARSE)
     policies = [
@@ -195,6 +196,13 @@ def load_policies(document: str) -> list[Policy]:
     ]
     _refuse_duplicate_ids(policies, "policy", "document.policies")
     return policies
+
+
+def load_policy_file(path: str) -> list[Policy]:
+    """The policies of the file at ``path``, read as bytes, so that bytes
+    which do not decode as text are POLICY_PARSE like any other fault."""
+    with open(path, "rb") as fh:
+        return load_policies(fh.read())
 
 
 def policies_to_doc(policies) -> dict:

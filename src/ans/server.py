@@ -18,18 +18,27 @@ certificate chains, not the socket. Errors are ``{"error": code, "message",
 the table above is 404 ``UNKNOWN_ROUTE``, except that HEAD answers each GET
 route as GET does, without the body. Bodies are framed by
 ``Content-Length`` only, so a request with ``Transfer-Encoding`` is refused.
+
+The request loop is this module's own, on ``socketserver``: one daemon
+thread per connection, requests read in turn until one closes it, no idle
+timeout. It keeps ``http.server``'s limits, replies and framing, but not its
+imports: ``http.server`` loads ``http.client``, and with it ``ssl`` and
+``email``, which the registry never uses. Each reply still goes out as two
+writes, the head and then the body; that framing is kept on purpose until
+ROADMAP item 1 changes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socketserver
+import sys
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
@@ -40,14 +49,22 @@ from .errors import (
 from .identity import Certificate, CertificateChain
 from .manifest import validate_admission
 from .metrics import Metrics, render_text
-from .policy import load_policies
+from .policy import load_policy_file
 from .registry import AgentRecord, RegistrationRequest, Registry
 
 # Largest request body read; a registration or a manifest is a few KiB.
 MAX_BODY_BYTES = 1 << 20
-# The stdlib's request limits: bytes per header line, header lines per request.
+# The stdlib's request limits: bytes per request line and per header line,
+# header lines per request.
+MAX_REQUEST_LINE = 65536
 MAX_HEADER_LINE = 65536
 MAX_HEADERS = 100
+
+PROTOCOL_VERSION = "HTTP/1.1"
+# A request line without a version is HTTP/0.9, whose reply is the body alone.
+HTTP_0_9 = "HTTP/0.9"
+SERVER_HEADER = "ans Python/" + sys.version.split()[0]
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 @dataclass(frozen=True)
@@ -127,10 +144,7 @@ class AnsServer:
         self.clock = clock
         host, port = config.host_port()
         anchors = load_anchors(config.anchors_path) if config.anchors_path else ()
-        policies = ()
-        if config.policy_path:
-            with open(config.policy_path, "r", encoding="utf-8") as fh:
-                policies = tuple(load_policies(fh.read()))
+        policies = tuple(load_policy_file(config.policy_path)) if config.policy_path else ()
         self.metrics = Metrics()
         self.registry = Registry.recover(
             policies=policies,
@@ -142,9 +156,7 @@ class AnsServer:
             observe=self.metrics.observe,
         )
         self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.ans_server = self  # type: ignore[attr-defined]
+        self._httpd = _Listener((host, port), self)
         self._thread: threading.Thread | None = None
 
     @property
@@ -299,21 +311,77 @@ def _version_number(version: str) -> tuple[int, int] | None:
     return int(parts[0]), int(parts[1])
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "ans"
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-    # Route table entries: (method, prefix-or-exact path).
+
+def _http_date(timestamp: float | None = None) -> str:
+    """An IMF-fixdate (RFC 9110 §5.6.7), such as ``Sun, 06 Nov 1994 08:49:37
+    GMT``, with English names whatever the locale."""
+    t = time.gmtime(timestamp)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """The listening socket: each connection is served by ``_Handler`` on a
+    daemon thread, and a port in TIME_WAIT can be bound again at once."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], ans_server: AnsServer):
+        self.ans_server = ans_server
+        super().__init__(address, _Handler)
+
+
+# The route table each request method is dispatched to. HEAD answers a GET
+# route without the body (RFC 9110 §9.3.2): ``_send`` leaves it out.
+_DISPATCH_AS = {"GET": "GET", "HEAD": "GET", "POST": "POST", "DELETE": "DELETE"}
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: requests in turn until one of them closes it. The
+    socket has no timeout, so a client may keep it idle between requests."""
+
     def _ans(self) -> AnsServer:
         return self.server.ans_server  # type: ignore[attr-defined]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        """Read, parse and answer one request; every path through it sets
+        ``close_connection``."""
+        self.command = None
+        try:
+            self.raw_requestline = self.rfile.readline(MAX_REQUEST_LINE + 1)
+            if len(self.raw_requestline) > MAX_REQUEST_LINE:
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+                return
+            if not self.raw_requestline:
+                self.close_connection = True
+                return
+            if not self.parse_request():
+                return
+            method = _DISPATCH_AS.get(self.command)
+            if method is None:
+                self.send_error(HTTPStatus.NOT_IMPLEMENTED,
+                                f"Unsupported method ({self.command!r})")
+                return
+            self._dispatch(method)
+        except TimeoutError:
+            # The peer stopped acknowledging (ETIMEDOUT): drop the connection.
+            self.close_connection = True
 
     def parse_request(self) -> bool:
         """The stdlib's ``parse_request``, with the header lines split into a
         ``_Headers`` map instead of parsed by ``email``, which costs about ten
         times as much per request. Limits and meaning are the stdlib's:
+        414 for a request line over 65,536 bytes (``handle_one_request``),
         431 for a header line over 65,536 bytes or over 100 header lines,
         505 for HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes
         the connection, and ``Expect: 100-continue`` gets its interim reply.
@@ -322,8 +390,7 @@ class _Handler(BaseHTTPRequestHandler):
         a malformed request line gets a 400 with a status line and
         ``Connection: close`` rather than a bare error page, HTTP/0.9 style.
         Every refusal closes the connection."""
-        self.command = None
-        self.request_version = self.default_request_version
+        self.request_version = HTTP_0_9
         self.close_connection = True
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
@@ -388,21 +455,21 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = False
         if (headers.get("expect", "").lower() == "100-continue"
                 and self.request_version >= "HTTP/1.1"):
-            return self.handle_expect_100()
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
-    def send_error(self, code, message=None, explain=None) -> None:
+    def send_error(self, code: int, message: str | None = None) -> None:
         """The stdlib's refusals as JSON: ``MALFORMED`` under their own status,
         and an unsupported method (501) as 404 ``UNKNOWN_ROUTE``, like an
         unknown path. The request may be partly unread, so the connection closes."""
         # A status line even before the request's version is known, where
         # the stdlib would send a bare HTTP/0.9 page.
-        self.request_version = self.protocol_version
+        self.request_version = PROTOCOL_VERSION
         error = codes.MALFORMED
         if code == HTTPStatus.NOT_IMPLEMENTED:
             code, error = HTTPStatus.NOT_FOUND, codes.UNKNOWN_ROUTE
         self.close_connection = True
-        self._send_json(code, AnsError(error, message or self.responses[code][0]).to_doc())
+        self._send_json(code, AnsError(error, message or _REASONS[code]).to_doc())
 
     def _read_body(self) -> dict:
         length = self.headers.get("Content-Length", "0")
@@ -424,15 +491,17 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send(self, status: int, content_type: str, data: bytes) -> None:
-        # The headers and the body go out as two writes on an unbuffered
-        # socket, so a small reply waits for the client's delayed ACK (about
-        # 40 ms on Linux). Sending each reply as one write is ROADMAP item 1.
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
+        # The head and the body go out as two writes on an unbuffered
+        # socket, as they did under http.server, so a small reply waits for
+        # the client's delayed ACK (about 40 ms on Linux). The framing is
+        # kept on purpose: sending each reply as one write is ROADMAP item 1.
+        if self.request_version != HTTP_0_9:
+            head = (f"{PROTOCOL_VERSION} {status:d} {_REASONS[status]}\r\n"
+                    f"Server: {SERVER_HEADER}\r\nDate: {_http_date()}\r\n"
+                    f"Content-Type: {content_type}\r\nContent-Length: {len(data)}\r\n")
+            if self.close_connection:
+                head += "Connection: close\r\n"
+            self.wfile.write((head + "\r\n").encode("latin-1"))
         if self.command != "HEAD":
             self.wfile.write(data)
 
@@ -493,16 +562,3 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(STATUS_BY_CODE[exc.code], exc.to_doc())
         except Exception as exc:  # pragma: no cover - last-resort guard
             self._send_json(500, {"error": codes.INTERNAL, "message": str(exc)})
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
-
-    def do_HEAD(self) -> None:
-        """A GET without its body (RFC 9110 §9.3.2): ``_send`` leaves it out."""
-        self._dispatch("GET")

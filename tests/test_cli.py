@@ -247,3 +247,25 @@ def test_serve_subprocess_sigterm_snapshot(workdir):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+@pytest.mark.parametrize("command", ["admission", "policy"])
+def test_unparseable_manifest_is_malformed_not_a_traceback(workdir, capsys, command):
+    (workdir / "broken.yaml").write_text("a: [1, 2")
+    argv = (["admission", "validate"] if command == "admission" else ["policy", "test"])
+    assert main(argv + ["--manifest", str(workdir / "broken.yaml"),
+                        "--policy", str(workdir / "policy.json")]) == 1
+    assert "MALFORMED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve", "admission", "policy"])
+def test_undecodable_policy_file_is_policy_parse(workdir, capsys, command):
+    policy = workdir / "undecodable.json"
+    policy.write_bytes(b"\xff\xfe\x7b")
+    if command == "serve":
+        argv = ["serve", "--listen", "127.0.0.1:0", "--log", str(workdir / "events.log")]
+    else:
+        argv = (["admission", "validate"] if command == "admission" else ["policy", "test"])
+        argv += ["--manifest", str(workdir / "listing.yaml")]
+    assert main(argv + ["--policy", str(policy)]) == 1
+    assert "POLICY_PARSE" in capsys.readouterr().err

@@ -80,10 +80,11 @@ def test_registry_down_is_transport_error(ca):
 
 class _DroppingStub:
     """Accepts connections, reads each request's head and body, and drops
-    the connection without replying."""
+    the connection, without replying unless given the ``reply`` bytes."""
 
-    def __init__(self):
+    def __init__(self, reply: bytes = b""):
         self.sock = socket.create_server(("127.0.0.1", 0))
+        self.reply = reply
         self.requests = []
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -106,6 +107,7 @@ class _DroppingStub:
                                if line.lower().startswith(b"content-length:")), 0)
                 fh.read(length)
                 self.requests.append(head[0])
+                conn.sendall(self.reply)
 
     def close(self):
         self.sock.close()
@@ -125,6 +127,30 @@ def test_only_get_is_sent_again_after_a_dropped_connection(method, sent):
         stub.close()
     assert len(stub.requests) == sent
     assert all(r.startswith(method.encode() + b" ") for r in stub.requests)
+
+
+_REPLY_READERS = {
+    "discover": lambda url, identity: client.discover(url, NameQuery(capability="cap-a")),
+    "register_with": lambda url, identity: client.register_with(identity, url, "ns-0"),
+    "renew_with": lambda url, identity: client.renew_with(identity, url),
+    "request_challenge": lambda url, identity: client.request_challenge(url, identity.name),
+}
+
+
+@pytest.mark.parametrize("body", [b"{}", b"[{}]", b"[1]", b"1", b"null", b'"x"'])
+@pytest.mark.parametrize("call", _REPLY_READERS)
+def test_wrongly_shaped_registry_reply_is_malformed(ca, call, body):
+    """A 200 reply the SDK cannot read as the answer it asked for is
+    MALFORMED, never an empty answer or a bare KeyError or TypeError."""
+    stub = _DroppingStub(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                         b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                         % (len(body), body))
+    try:
+        with pytest.raises(AnsError) as err:
+            _REPLY_READERS[call](stub.url, make_identity(ca, make_name(26)))
+    finally:
+        stub.close()
+    assert err.value.code == "MALFORMED"
 
 
 def test_discover_includes_self(server, ca):

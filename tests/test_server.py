@@ -1,7 +1,14 @@
 import dataclasses
+import email.utils
 import http.client
 import json
+import os
+import pathlib
+import platform
+import re
 import socket
+import subprocess
+import sys
 import time
 import urllib.parse
 import urllib.request
@@ -10,6 +17,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ans
 from ans import attestation, errors, names
 from ans.canonical import canonical_bytes, canonical_json
 from ans.client import RegistryClient, build_registration_request
@@ -17,7 +25,9 @@ from ans.errors import ERROR_CODES, AnsError
 from ans.policy import policies_to_doc
 from ans.identity import ROLE_AGENT, issue_certificate
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
-from ans.server import STATUS_BY_CODE, AnsServer, ServerConfig, load_anchors, query_from_params
+from ans.server import (
+    STATUS_BY_CODE, AnsServer, ServerConfig, _http_date, load_anchors, query_from_params,
+)
 from conftest import NOW, make_identity, make_name
 from test_manifest import LISTING_MANIFEST_YAML
 
@@ -849,3 +859,109 @@ def test_head_on_any_other_path_is_an_unknown_route(server, path):
         status, headers = _read_head(fh)
         assert status == 404 and headers["connection"] == "close"
         assert fh.read() == b""
+
+
+# -- reply head -----------------------------------------------------------------------
+
+# RFC 9110 §5.6.7: day-name "," SP day SP month SP year SP hour ":" minute ":" second SP "GMT"
+IMF_FIXDATE = re.compile(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+                         r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+                         r"\d\d:\d\d:\d\d GMT")
+
+# (request bytes, whether a 100 Continue comes first, status line, content type,
+# connection closes).
+HEAD_CASES = {
+    "resolve-200": (b"GET /v1/resolve?capability=cap-a HTTP/1.1\r\n\r\n", False,
+                    b"HTTP/1.1 200 OK\r\n", "application/json", False),
+    "unknown-route-404": (b"GET /v1/nope HTTP/1.1\r\n\r\n", False,
+                          b"HTTP/1.1 404 Not Found\r\n", "application/json", True),
+    "head-200": (b"HEAD /v1/healthz HTTP/1.1\r\n\r\n", False,
+                 b"HTTP/1.1 200 OK\r\n", "text/plain; charset=utf-8", False),
+    "bad-version-400": (PARSE_CASES["bad-version"][0], False,
+                        b"HTTP/1.1 400 Bad Request\r\n", "application/json", True),
+    "100-continue": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 11\r\n"
+                     b"Expect: 100-continue\r\n\r\n{\"name\":\"\"}", True,
+                     b"HTTP/1.1 404 Not Found\r\n", "application/json", False),
+}
+
+
+@pytest.mark.parametrize("request_bytes,interim,status_line,content_type,closes",
+                         HEAD_CASES.values(), ids=HEAD_CASES.keys())
+def test_reply_head_fields_and_their_order(server, request_bytes, interim, status_line,
+                                           content_type, closes):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request_bytes)
+        fh = sock.makefile("rb")
+        if interim:
+            assert fh.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert fh.readline() == b"\r\n"
+        assert fh.readline() == status_line
+        fields = []
+        while (line := fh.readline()) not in (b"\r\n", b""):
+            assert line.endswith(b"\r\n")
+            name, sep, value = line[:-2].decode("latin-1").partition(": ")
+            assert sep
+            fields.append((name, value))
+    assert [name for name, _ in fields] == (["Server", "Date", "Content-Type", "Content-Length"]
+                                            + ["Connection"] * closes)
+    values = dict(fields)
+    assert values["Server"] == "ans Python/" + platform.python_version()
+    assert IMF_FIXDATE.fullmatch(values["Date"]), values["Date"]
+    assert values["Content-Type"] == content_type
+    assert values["Content-Length"].isdigit()
+    assert values.get("Connection", "close") == "close"
+
+
+@pytest.mark.parametrize("timestamp", [0, 951782400, 1_700_000_000.9, 4_102_444_799])
+def test_date_header_is_the_stdlib_http_date(timestamp):
+    assert _http_date(timestamp) == email.utils.formatdate(timestamp, usegmt=True)
+
+
+# -- serve path imports -----------------------------------------------------------------
+
+# Modules `ansctl serve` never needs: a TLS stack, an e-mail parser, and the
+# system OpenSSL that `hashlib` loads beside the copy `cryptography` links.
+UNUSED_ON_THE_SERVE_PATH = (
+    "http.server", "http.client", "ssl", "_ssl", "email", "hashlib", "_hashlib", "hmac",
+    "secrets", "cryptography.hazmat.primitives.serialization",
+)
+
+_SERVE_PATH_SCRIPT = """
+import json, os, socket, sys, tempfile
+import ans.cli
+from ans.server import AnsServer, ServerConfig
+
+requests = [
+    b"GET /v1/healthz HTTP/1.1\\r\\n\\r\\n",
+    b"GET /v1/resolve?capability=cap-a HTTP/1.1\\r\\n\\r\\n",
+    b'POST /v1/challenge HTTP/1.1\\r\\nContent-Length: 11\\r\\n\\r\\n{"name":""}',
+    b"GET /v1/healthz HTTP/1.x\\r\\n\\r\\n",
+]
+statuses = []
+with tempfile.TemporaryDirectory() as tmp:
+    server = AnsServer(ServerConfig(listen="127.0.0.1:0", fsync=False,
+                                    log_path=os.path.join(tmp, "events.log")))
+    server.start()
+    try:
+        for request in requests:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(request)
+                statuses.append(int(sock.makefile("rb").readline().split()[1]))
+    finally:
+        server.shutdown()
+print(json.dumps({"statuses": statuses,
+                  "loaded": [m for m in json.loads(sys.argv[1]) if m in sys.modules]}))
+"""
+
+
+def test_serve_path_loads_no_tls_email_or_second_openssl():
+    """Importing the CLI, starting a server and answering requests leaves
+    these modules unloaded: each costs a server replica memory and start-up."""
+    src = pathlib.Path(ans.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _SERVE_PATH_SCRIPT, json.dumps(UNUSED_ON_THE_SERVE_PATH)],
+        capture_output=True, text=True, timeout=60, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    result = json.loads(out.stdout)
+    assert result["statuses"] == [200, 200, 404, 400]
+    assert result["loaded"] == []
