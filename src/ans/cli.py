@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import names
 from .canonical import canonical_json
-from .errors import DENIAL_CODES, MALFORMED, AnsError, TransportError
+from .errors import DENIAL_CODES, MALFORMED, AnsError, TransportError, decode_doc
 from .identity import Certificate, CertificateChain, KeyPair, build_ca, derive_did
 from .manifest import parse_duration, validate_admission
 from .policy import load_policy_file
@@ -53,9 +53,11 @@ def _write_private(path: str, doc) -> None:
     os.chmod(path, 0o600)
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: str, what: str, decode):
+    """``decode`` of a JSON file's document; a fault in the file is ``MALFORMED``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return decode_doc(f"{what} {path}", lambda text: decode(json.loads(text)), raw)
 
 
 def _load_manifest_doc(path: str):
@@ -88,9 +90,12 @@ def save_identity(path: str, identity: AgentIdentity, namespace: str | None = No
 
 
 def load_identity(path: str) -> tuple[AgentIdentity, str | None]:
+    return _load_json(path, "identity file", _identity_from_doc)
+
+
+def _identity_from_doc(doc) -> tuple[AgentIdentity, str | None]:
     from .client import AgentIdentity, CapabilitySecret
 
-    doc = _load_json(path)
     name = names.parse(doc["name"])
     identity_keys = KeyPair.generate(bytes.fromhex(doc["identity_seed"]))
     capabilities = {}
@@ -145,13 +150,13 @@ def cmd_ca_init(args) -> int:
 
 
 def _load_ca(keys_dir: str) -> tuple[KeyPair, Certificate, Certificate]:
-    inter_doc = _load_json(os.path.join(keys_dir, INTERMEDIATE_FILE))
-    root_doc = _load_json(os.path.join(keys_dir, ROOT_FILE))
-    return (
-        KeyPair.generate(bytes.fromhex(inter_doc["seed"])),
-        Certificate.from_doc(inter_doc["cert"]),
-        Certificate.from_doc(root_doc["cert"]),
-    )
+    inter_keys, inter_cert = _load_json(
+        os.path.join(keys_dir, INTERMEDIATE_FILE), "CA file",
+        lambda doc: (KeyPair.generate(bytes.fromhex(doc["seed"])),
+                     Certificate.from_doc(doc["cert"])))
+    root_cert = _load_json(os.path.join(keys_dir, ROOT_FILE), "CA file",
+                           lambda doc: Certificate.from_doc(doc["cert"]))
+    return inter_keys, inter_cert, root_cert
 
 
 def cmd_cert_issue(args) -> int:

@@ -27,7 +27,6 @@ import os
 import queue
 import socket
 import struct
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field, replace
@@ -62,6 +61,7 @@ from .identity import (
     validate_chain,
     verify_signature,
 )
+from .listener import Listener
 from .names import AnsName, NameQuery
 from .registry import (
     AgentRecord,
@@ -604,52 +604,34 @@ def serve_capability_request(
 
 class PeerServer:
     """TCP listener an agent runs so peers can handshake and verify
-    capabilities against it. One thread per connection; demo-scale."""
+    capabilities against it, on a ``listener.Listener``: one thread per
+    connection; demo-scale. A session open at ``stop()`` runs until its peer
+    hangs up."""
 
     def __init__(self, identity: AgentIdentity, trust_anchors,
                  host: str = "127.0.0.1", port: int = 0):
         self.identity = identity
         self.trust_anchors = tuple(trust_anchors)
         self.challenges = ChallengeStore()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(32)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._listener = Listener((host, port), self._serve_conn)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()
+        return self._listener.address
 
     def start(self) -> "PeerServer":
-        self._thread.start()
+        self._listener.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
+        self._listener.close()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         transport = TcpTransport(conn)
         try:
             session = respond_handshake(self.identity, transport, self.trust_anchors)
-            while not self._stop.is_set():
-                if serve_capability_request(session, transport, self.trust_anchors,
-                                            self.challenges) is None:
-                    return
+            while serve_capability_request(session, transport, self.trust_anchors,
+                                           self.challenges) is not None:
+                pass
         except (AnsError, TransportError):
             return
-        finally:
-            transport.close()

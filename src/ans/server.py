@@ -19,22 +19,23 @@ the table above is 404 ``UNKNOWN_ROUTE``, except that HEAD answers each GET
 route as GET does, without the body. Bodies are framed by
 ``Content-Length`` only, so a request with ``Transfer-Encoding`` is refused.
 
-The request loop is this module's own, on ``socketserver``: one daemon
-thread per connection, requests read in turn until one closes it, no idle
-timeout. It keeps ``http.server``'s limits, replies and framing, but not its
-imports: ``http.server`` loads ``http.client``, and with it ``ssl`` and
-``email``, which the registry never uses. Each reply still goes out as two
-writes, the head and then the body; that framing is kept on purpose until
-ROADMAP item 1 changes it.
+Connections are accepted by a ``listener.Listener``, which serves each on
+its own daemon thread; the request loop is this module's own: requests read
+in turn until one closes the connection, no idle timeout. It keeps
+``http.server``'s limits, replies and framing, but not its imports:
+``http.server`` loads ``http.client``, and with it ``ssl`` and ``email``,
+which the registry never uses. HTTP/0.9 is refused: a request line without a
+version gets a 400 with a status line. Each reply is sent from one place, and
+still goes out as two writes, the head and then the body; that framing is
+kept on purpose until ROADMAP item 1 changes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socketserver
+import socket
 import sys
-import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -42,11 +43,12 @@ from http import HTTPStatus
 
 from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
-from .canonical import canonical_json
+from .canonical import canonical_bytes
 from .errors import (
     BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, decode_doc, read_fields,
 )
 from .identity import Certificate, CertificateChain
+from .listener import Listener
 from .manifest import validate_admission
 from .metrics import Metrics, render_text
 from .policy import load_policy_file
@@ -61,8 +63,6 @@ MAX_HEADER_LINE = 65536
 MAX_HEADERS = 100
 
 PROTOCOL_VERSION = "HTTP/1.1"
-# A request line without a version is HTTP/0.9, whose reply is the body alone.
-HTTP_0_9 = "HTTP/0.9"
 SERVER_HEADER = "ans Python/" + sys.version.split()[0]
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
@@ -156,12 +156,11 @@ class AnsServer:
             observe=self.metrics.observe,
         )
         self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
-        self._httpd = _Listener((host, port), self)
-        self._thread: threading.Thread | None = None
+        self._listener = Listener((host, port), lambda conn: _Handler(self, conn).handle())
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[0], self._httpd.server_address[1]
+        return self._listener.address
 
     @property
     def url(self) -> str:
@@ -172,23 +171,19 @@ class AnsServer:
         return int(self.clock())
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                        name="ans-server", daemon=True)
-        self._thread.start()
+        self._listener.start()
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._listener.serve_forever()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        self._listener.close()
         if self.config.snapshot_path:
             self.registry.write_snapshot(self.config.snapshot_path)
         self.registry.close()
 
     # -- operation bodies, shared by the HTTP handler ------------------------
+    # Each returns the reply's status and its body's bytes.
 
     def op_register(self, body: dict) -> tuple[int, bytes]:
         """The reply body is the stored record's canonical bytes, the same
@@ -210,10 +205,10 @@ class AnsServer:
         record = self.registry.renew(name_text, ts, signature, self.now())
         return 200, record.doc_bytes
 
-    def op_revoke(self, name_text: str, body: dict) -> tuple[int, dict]:
+    def op_revoke(self, name_text: str, body: dict) -> tuple[int, bytes]:
         ts, signature = decode_doc("control body", _control_fields, body)
         self.registry.revoke(name_text, ts, signature, self.now())
-        return 200, {"revoked": name_text}
+        return 200, canonical_bytes({"revoked": name_text})
 
     def op_resolve(self, params: dict[str, str]) -> tuple[int, bytes]:
         """The reply body is the canonical JSON array of the hits, joined from
@@ -224,15 +219,15 @@ class AnsServer:
             records = self.registry.resolve(query, self.now())
         return 200, b"[" + b",".join(r.doc_bytes for r in records) + b"]"
 
-    def op_challenge(self, body: dict) -> tuple[int, dict]:
+    def op_challenge(self, body: dict) -> tuple[int, bytes]:
         name_text = body.get("name")
         if not isinstance(name_text, str):
             raise AnsError(codes.MALFORMED, "challenge body must carry the agent name")
         record = self._record_or_404(name_text)
         challenge = self.challenges.issue(record.name, self.now())
-        return 200, challenge.to_doc()
+        return 200, canonical_bytes(challenge.to_doc())
 
-    def op_attest(self, body: dict) -> tuple[int, dict]:
+    def op_attest(self, body: dict) -> tuple[int, bytes]:
         self.metrics.inc("attestations_total")
         with self.metrics.timed("attestation"):
             proof = decode_doc("proof body", CapabilityProof.from_doc, body)
@@ -254,9 +249,10 @@ class AnsServer:
                 self.metrics.inc("auth_failures_total")
                 assert result.reason is not None
                 raise AnsError(result.reason, result.message)
-            return 200, {"granted": True, "agent": proof.agent_name, "capability": proof.capability}
+        return 200, canonical_bytes({"granted": True, "agent": proof.agent_name,
+                                     "capability": proof.capability})
 
-    def op_admission(self, body: dict) -> tuple[int, dict]:
+    def op_admission(self, body: dict) -> tuple[int, bytes]:
         manifest_doc, chain = body, None
         if "manifest" in body:
             envelope = read_fields(body, "admission body", {"manifest": MAP, "chain": (LIST, None)})
@@ -269,12 +265,12 @@ class AnsServer:
         )
         if not result.allowed:
             self.metrics.inc("policy_violations_total")
-        return 200, result.to_doc()
+        return 200, canonical_bytes(result.to_doc())
 
-    def op_metrics(self) -> str:
+    def op_metrics(self) -> tuple[int, bytes]:
         now = self.now()
-        return render_text(self.metrics.snapshot(records=self.registry.active_records(now),
-                                                 now=now))
+        return 200, render_text(self.metrics.snapshot(records=self.registry.active_records(now),
+                                                      now=now)).encode("utf-8")
 
     def _record_or_404(self, name_text: str) -> AgentRecord:
         record = self.registry.get_active(name_text, self.now())
@@ -289,15 +285,6 @@ def _control_fields(body: dict) -> tuple[int, bytes]:
 
 # The resolve parameter mapping under its older name.
 query_from_params = names.NameQuery.from_params
-
-
-class _Headers(dict):
-    """Request header fields keyed by lower-cased name, read with ``get`` in
-    any case; of a repeated field the first value counts, as with the
-    stdlib's ``email`` message."""
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
 
 
 def _version_number(version: str) -> tuple[int, int] | None:
@@ -324,103 +311,90 @@ def _http_date(timestamp: float | None = None) -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-class _Listener(socketserver.ThreadingTCPServer):
-    """The listening socket: each connection is served by ``_Handler`` on a
-    daemon thread, and a port in TIME_WAIT can be bound again at once."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], ans_server: AnsServer):
-        self.ans_server = ans_server
-        super().__init__(address, _Handler)
-
-
 # The route table each request method is dispatched to. HEAD answers a GET
 # route without the body (RFC 9110 §9.3.2): ``_send`` leaves it out.
 _DISPATCH_AS = {"GET": "GET", "HEAD": "GET", "POST": "POST", "DELETE": "DELETE"}
+# The POST routes whose path is fixed, each with its operation.
+_POST_ROUTES = {"/v1/agents": AnsServer.op_register, "/v1/challenge": AnsServer.op_challenge,
+                "/v1/attest": AnsServer.op_attest,
+                "/v1/admission/validate": AnsServer.op_admission}
+_AGENTS = "/v1/agents/"
+_JSON = "application/json"
+_TEXT = "text/plain; charset=utf-8"
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler:
     """One connection: requests in turn until one of them closes it. The
     socket has no timeout, so a client may keep it idle between requests."""
 
-    def _ans(self) -> AnsServer:
-        return self.server.ans_server  # type: ignore[attr-defined]
+    def __init__(self, ans: AnsServer, conn: socket.socket):
+        self.ans = ans
+        self.conn = conn
+        self.rfile = conn.makefile("rb")
+        self.close_connection = False
 
     def handle(self) -> None:
-        self.close_connection = False
-        while not self.close_connection:
-            self.handle_one_request()
+        with self.rfile:
+            while not self.close_connection:
+                self.handle_one_request()
 
     def handle_one_request(self) -> None:
         """Read, parse and answer one request; every path through it sets
         ``close_connection``."""
         self.command = None
-        try:
-            self.raw_requestline = self.rfile.readline(MAX_REQUEST_LINE + 1)
-            if len(self.raw_requestline) > MAX_REQUEST_LINE:
-                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-                return
-            if not self.raw_requestline:
-                self.close_connection = True
-                return
-            if not self.parse_request():
-                return
+        line = self.rfile.readline(MAX_REQUEST_LINE + 1)
+        if len(line) > MAX_REQUEST_LINE:
+            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+        elif not line:
+            self.close_connection = True
+        elif self.parse_request(line):
             method = _DISPATCH_AS.get(self.command)
             if method is None:
-                self.send_error(HTTPStatus.NOT_IMPLEMENTED,
-                                f"Unsupported method ({self.command!r})")
-                return
-            self._dispatch(method)
-        except TimeoutError:
-            # The peer stopped acknowledging (ETIMEDOUT): drop the connection.
-            self.close_connection = True
+                self.send_error(HTTPStatus.NOT_FOUND, f"Unsupported method ({self.command!r})",
+                                codes.UNKNOWN_ROUTE)
+            else:
+                self._dispatch(method)
 
-    def parse_request(self) -> bool:
+    def parse_request(self, raw: bytes) -> bool:
         """The stdlib's ``parse_request``, with the header lines split into a
-        ``_Headers`` map instead of parsed by ``email``, which costs about ten
-        times as much per request. Limits and meaning are the stdlib's:
-        414 for a request line over 65,536 bytes (``handle_one_request``),
-        431 for a header line over 65,536 bytes or over 100 header lines,
-        505 for HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes
-        the connection, and ``Expect: 100-continue`` gets its interim reply.
-        Beyond the stdlib, a malformed header line, two different
-        ``Content-Length`` values and any ``Transfer-Encoding`` get 400, and
-        a malformed request line gets a 400 with a status line and
-        ``Connection: close`` rather than a bare error page, HTTP/0.9 style.
-        Every refusal closes the connection."""
-        self.request_version = HTTP_0_9
+        dict keyed by lower-cased name instead of parsed by ``email``, which
+        costs about ten times as much per request; of a repeated field the
+        first value counts. Limits and meaning are the stdlib's: 414 for a
+        request line over 65,536 bytes (``handle_one_request``), 431 for a
+        header line over 65,536 bytes or over 100 header lines, 505 for
+        HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes the
+        connection, and ``Expect: 100-continue`` gets its interim reply.
+        Beyond the stdlib, a request line without a version (HTTP/0.9), a
+        malformed header line, two different ``Content-Length`` values and
+        any ``Transfer-Encoding`` get 400. Every refusal has a status line
+        and closes the connection."""
         self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.requestline.split()
+        requestline = str(raw, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
         if not words:
             return False
+        version = words[-1]
         if len(words) >= 3:
-            number = _version_number(words[-1])
+            number = _version_number(version)
             if number is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
                 return False
-            self.request_version = words[-1]
             if number >= (2, 0):
                 self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                f"Invalid HTTP version ({words[-1][5:]})")
+                                f"Invalid HTTP version ({version[5:]})")
                 return False
             self.close_connection = number < (1, 1)
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
-            return False
-        command, path = words[:2]
         if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
-        self.command = command
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({words[0]!r})")
+            return False
+        if len(words) != 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        self.command, path = words[:2]
         # As the stdlib does: '//host/x' would read as a scheme-relative URL.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
 
-        headers = self.headers = _Headers()
+        headers = self.headers = {}
         lines = 0
         while True:
             line = self.rfile.readline(MAX_HEADER_LINE + 1)
@@ -453,26 +427,20 @@ class _Handler(socketserver.StreamRequestHandler):
             self.close_connection = True
         elif connection == "keep-alive":
             self.close_connection = False
-        if (headers.get("expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if headers.get("expect", "").lower() == "100-continue" and version >= "HTTP/1.1":
+            self.conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
-    def send_error(self, code: int, message: str | None = None) -> None:
-        """The stdlib's refusals as JSON: ``MALFORMED`` under their own status,
-        and an unsupported method (501) as 404 ``UNKNOWN_ROUTE``, like an
-        unknown path. The request may be partly unread, so the connection closes."""
-        # A status line even before the request's version is known, where
-        # the stdlib would send a bare HTTP/0.9 page.
-        self.request_version = PROTOCOL_VERSION
-        error = codes.MALFORMED
-        if code == HTTPStatus.NOT_IMPLEMENTED:
-            code, error = HTTPStatus.NOT_FOUND, codes.UNKNOWN_ROUTE
+    def send_error(self, status: int, message: str | None = None,
+                   error: str = codes.MALFORMED) -> None:
+        """A refusal by the parser, as a JSON error. The request may be
+        partly unread, so the connection closes."""
         self.close_connection = True
-        self._send_json(code, AnsError(error, message or _REASONS[code]).to_doc())
+        self._send(status, _JSON,
+                   canonical_bytes(AnsError(error, message or _REASONS[status]).to_doc()))
 
     def _read_body(self) -> dict:
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("content-length", "0")
         if not (length.isascii() and length.isdigit()) or int(length) > MAX_BODY_BYTES:
             # The body's extent is unknown or refused, so the connection
             # cannot be reused after the reply.
@@ -491,74 +459,53 @@ class _Handler(socketserver.StreamRequestHandler):
         return body
 
     def _send(self, status: int, content_type: str, data: bytes) -> None:
-        # The head and the body go out as two writes on an unbuffered
-        # socket, as they did under http.server, so a small reply waits for
-        # the client's delayed ACK (about 40 ms on Linux). The framing is
-        # kept on purpose: sending each reply as one write is ROADMAP item 1.
-        if self.request_version != HTTP_0_9:
-            head = (f"{PROTOCOL_VERSION} {status:d} {_REASONS[status]}\r\n"
-                    f"Server: {SERVER_HEADER}\r\nDate: {_http_date()}\r\n"
-                    f"Content-Type: {content_type}\r\nContent-Length: {len(data)}\r\n")
-            if self.close_connection:
-                head += "Connection: close\r\n"
-            self.wfile.write((head + "\r\n").encode("latin-1"))
+        # The head and the body go out as two writes, as they did under
+        # http.server, so a small reply waits for the client's delayed ACK
+        # (about 40 ms on Linux). The framing is kept on purpose: sending
+        # each reply as one write is ROADMAP item 1.
+        head = (f"{PROTOCOL_VERSION} {status:d} {_REASONS[status]}\r\n"
+                f"Server: {SERVER_HEADER}\r\nDate: {_http_date()}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(data)}\r\n")
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.conn.sendall((head + "\r\n").encode("latin-1"))
         if self.command != "HEAD":
-            self.wfile.write(data)
-
-    def _send_json(self, status: int, payload) -> None:
-        self._send(status, "application/json", canonical_json(payload).encode("utf-8"))
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send(status, "text/plain; charset=utf-8", text.encode("utf-8"))
+            self.conn.sendall(data)
 
     def _dispatch(self, method: str) -> None:
+        """Run the route's operation, then send its reply, or the error it
+        raised, from one place."""
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path
         # No GET route reads a body, and a body left unread would be parsed
         # as the next request, so the connection closes after the reply.
-        if method == "GET" and self.headers.get("Content-Length", "0") != "0":
+        if method == "GET" and self.headers.get("content-length", "0") != "0":
             self.close_connection = True
+        content_type = _JSON
         try:
             if method == "GET" and path == "/v1/healthz":
-                self._send_text(200, "ok")
-                return
-            if method == "GET" and path == "/v1/metrics":
-                self._send_text(200, self._ans().op_metrics())
-                return
-            if method == "GET" and path == "/v1/resolve":
+                status, body, content_type = 200, b"ok", _TEXT
+            elif method == "GET" and path == "/v1/metrics":
+                status, body = self.ans.op_metrics()
+                content_type = _TEXT
+            elif method == "GET" and path == "/v1/resolve":
                 params = {k: v[-1] for k, v in urllib.parse.parse_qs(parsed.query).items()}
-                status, body = self._ans().op_resolve(params)
-                self._send(status, "application/json", body)
-                return
-            if method == "POST" and path == "/v1/agents":
-                status, body = self._ans().op_register(self._read_body())
-                self._send(status, "application/json", body)
-                return
-            if method == "POST" and path.startswith("/v1/agents/") and path.endswith("/renew"):
-                name_text = urllib.parse.unquote(path[len("/v1/agents/"):-len("/renew")])
-                status, body = self._ans().op_renew(name_text, self._read_body())
-                self._send(status, "application/json", body)
-                return
-            if method == "DELETE" and path.startswith("/v1/agents/"):
-                name_text = urllib.parse.unquote(path[len("/v1/agents/"):])
-                status, payload = self._ans().op_revoke(name_text, self._read_body())
-                self._send_json(status, payload)
-                return
-            if method == "POST" and path == "/v1/challenge":
-                status, payload = self._ans().op_challenge(self._read_body())
-                self._send_json(status, payload)
-                return
-            if method == "POST" and path == "/v1/attest":
-                status, payload = self._ans().op_attest(self._read_body())
-                self._send_json(status, payload)
-                return
-            if method == "POST" and path == "/v1/admission/validate":
-                status, payload = self._ans().op_admission(self._read_body())
-                self._send_json(status, payload)
-                return
-            self.close_connection = True  # its body, if any, is unread
-            raise AnsError(codes.UNKNOWN_ROUTE, f"no route {method} {path}")
+                status, body = self.ans.op_resolve(params)
+            elif method == "POST" and path in _POST_ROUTES:
+                status, body = _POST_ROUTES[path](self.ans, self._read_body())
+            elif method == "POST" and path.startswith(_AGENTS) and path.endswith("/renew"):
+                name_text = urllib.parse.unquote(path[len(_AGENTS):-len("/renew")])
+                status, body = self.ans.op_renew(name_text, self._read_body())
+            elif method == "DELETE" and path.startswith(_AGENTS):
+                name_text = urllib.parse.unquote(path[len(_AGENTS):])
+                status, body = self.ans.op_revoke(name_text, self._read_body())
+            else:
+                self.close_connection = True  # its body, if any, is unread
+                raise AnsError(codes.UNKNOWN_ROUTE, f"no route {method} {path}")
         except AnsError as exc:
-            self._send_json(STATUS_BY_CODE[exc.code], exc.to_doc())
+            status, content_type = STATUS_BY_CODE[exc.code], _JSON
+            body = canonical_bytes(exc.to_doc())
         except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_json(500, {"error": codes.INTERNAL, "message": str(exc)})
+            status, content_type = 500, _JSON
+            body = canonical_bytes({"error": codes.INTERNAL, "message": str(exc)})
+        self._send(status, content_type, body)

@@ -123,6 +123,28 @@ def test_register_duplicate_is_operational_error(workdir, cli_server, capsys):
     assert main(["register", "--registry", url, "--identity", str(second)]) == 1
 
 
+@pytest.mark.parametrize("text", ["{}", "not json", "[]"], ids=["empty", "not-json", "list"])
+def test_faulty_identity_file_is_malformed(workdir, capsys, text):
+    identity_file = workdir / "faulty.json"
+    identity_file.write_text(text)
+    assert main(["register", "--registry", "http://127.0.0.1:9",
+                 "--identity", str(identity_file)]) == 1
+    assert "MALFORMED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("filename,change", [
+    ("ca-intermediate.json", {"seed": "not hex"}),
+    ("ca-intermediate.json", {"cert": 1}),
+    ("ca-root.json", {"cert": None}),
+], ids=["seed", "intermediate-cert", "root-cert"])
+def test_faulty_ca_file_is_malformed(workdir, capsys, filename, change):
+    path = workdir / "ca" / filename
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    assert main(["cert", "issue", "--keys", str(workdir / "ca"), "--name", A2A_EXAMPLE,
+                 "--endpoint", "http://127.0.0.1:7001", "--out", str(workdir / "a.json")]) == 1
+    assert "MALFORMED" in capsys.readouterr().err
+
+
 def test_registry_down_is_operational_error(workdir, capsys):
     identity_file = _issue(workdir)
     assert main(["register", "--registry", "http://127.0.0.1:9",

@@ -454,6 +454,19 @@ def test_tcp_transport_framing():
     server_sock.close()
 
 
+def test_peer_server_refuses_connections_after_stop(pair, ca):
+    a, b = pair
+    peer = PeerServer(b, ca.anchors).start()
+    address = peer.address
+    # A handshake served first: the accept loop is running when stop() comes.
+    transport = TcpTransport.connect(*address)
+    initiate_handshake(a, transport, ca.anchors, expected_name=b.name)
+    transport.close()
+    peer.stop()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5).close()
+
+
 def test_peer_server_end_to_end(pair, ca):
     a, b = pair
     peer = PeerServer(b, ca.anchors).start()

@@ -7,8 +7,10 @@ import pathlib
 import platform
 import re
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 import urllib.parse
 import urllib.request
@@ -99,6 +101,25 @@ def test_shutdown_writes_snapshot(tmp_path, ca, allow_policies):
     server.shutdown()
     doc = json.loads(snap.read_text())
     assert doc["last_seq"] == 1 and len(doc["records"]) == 1
+
+
+def test_shutdown_of_a_server_never_started_returns(tmp_path):
+    server = AnsServer(ServerConfig(listen="127.0.0.1:0", fsync=False,
+                                    log_path=str(tmp_path / "events.log")))
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+
+
+def test_started_server_shuts_down_at_once(tmp_path):
+    server = AnsServer(ServerConfig(listen="127.0.0.1:0", fsync=False,
+                                    log_path=str(tmp_path / "events.log")))
+    server.start()
+    assert _get(server, "/v1/healthz") == (200, "ok")
+    started = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - started < 0.25
 
 
 def test_config_env_overrides(tmp_path):
@@ -752,6 +773,7 @@ PARSE_CASES = {
     "chunked-and-content-length": (b"POST /v1/challenge HTTP/1.1\r\nContent-Length: 4\r\n"
                                    b"Transfer-Encoding: chunked\r\n\r\n", 400, False),
     "unsupported-method": (b"PUT /v1/agents HTTP/1.1\r\n\r\n", 404, False),
+    "http-0.9-get": (b"GET /v1/healthz\r\n", 400, False),
 }
 
 
@@ -861,6 +883,24 @@ def test_head_on_any_other_path_is_an_unknown_route(server, path):
         assert fh.read() == b""
 
 
+def test_clients_that_reset_mid_reply_leave_stderr_empty(server, capfd):
+    """A client that pipelines requests and then resets ends its connection
+    quietly: no error reply is written to the dead socket, no traceback."""
+    threads_before = threading.active_count()
+    socks = [socket.create_connection(server.address, timeout=5) for _ in range(3)]
+    for sock in socks:
+        sock.sendall(b"GET /v1/metrics HTTP/1.1\r\n\r\n" * 50)
+    for sock in socks:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > threads_before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= threads_before
+    assert _get(server, "/v1/healthz") == (200, "ok")
+    assert capfd.readouterr().err == ""
+
+
 # -- reply head -----------------------------------------------------------------------
 
 # RFC 9110 §5.6.7: day-name "," SP day SP month SP year SP hour ":" minute ":" second SP "GMT"
@@ -919,11 +959,12 @@ def test_date_header_is_the_stdlib_http_date(timestamp):
 
 # -- serve path imports -----------------------------------------------------------------
 
-# Modules `ansctl serve` never needs: a TLS stack, an e-mail parser, and the
-# system OpenSSL that `hashlib` loads beside the copy `cryptography` links.
+# Modules `ansctl serve` never needs: a TLS stack, an e-mail parser, the
+# system OpenSSL that `hashlib` loads beside the copy `cryptography` links,
+# and `socketserver`, a second accept loop beside `listener.Listener`.
 UNUSED_ON_THE_SERVE_PATH = (
     "http.server", "http.client", "ssl", "_ssl", "email", "hashlib", "_hashlib", "hmac",
-    "secrets", "cryptography.hazmat.primitives.serialization",
+    "secrets", "cryptography.hazmat.primitives.serialization", "socketserver",
 )
 
 _SERVE_PATH_SCRIPT = """
