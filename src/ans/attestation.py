@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
+from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 
 from . import names
@@ -231,7 +232,7 @@ def verify(
     trust_anchors,
     store: ChallengeStore,
     now: int,
-    verified: dict | None = None,
+    verified: MutableMapping | None = None,
 ) -> AttestationResult:
     """Grant iff the chain validates, capabilities line up, both signatures
     verify, and the nonce is an outstanding unexpired challenge issued to this

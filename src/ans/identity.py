@@ -15,6 +15,7 @@ import functools
 import os
 import random
 import time
+from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
@@ -113,8 +114,15 @@ class CapabilityCommitment:
         )
 
 
+class _WeakReferable:
+    """A slotted base that lets slotted subclasses be weakly referenced, as
+    ``dataclass(weakref_slot=True)`` does from Python 3.11 on."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_WeakReferable):
     serial: int
     subject_did: str
     issuer_did: str
@@ -195,6 +203,11 @@ class CertificateChain:
 
     def to_doc(self) -> list:
         return [self.agent.to_doc(), self.intermediate.to_doc(), self.root.to_doc()]
+
+    def links(self) -> tuple[tuple[Certificate, Certificate], ...]:
+        """Each certificate with the one whose key signs it, agent first."""
+        return ((self.agent, self.intermediate), (self.intermediate, self.root),
+                (self.root, self.root))
 
     @classmethod
     def from_doc(cls, doc: list, certificate=Certificate.from_doc) -> "CertificateChain":
@@ -342,7 +355,7 @@ def window_error(chain: CertificateChain, now: int) -> ChainValidation | None:
     return None
 
 
-def _memo_hit(verified: dict, cert: Certificate, issuer: Certificate) -> bool:
+def _memo_hit(verified: MutableMapping, cert: Certificate, issuer: Certificate) -> bool:
     known = verified.get((issuer.public_key, cert.signature))
     return known is not None and (known is cert or known == cert)
 
@@ -351,7 +364,7 @@ def validate_chain(
     chain: CertificateChain,
     trust_anchors: tuple[Certificate, ...] | list[Certificate] | set,
     now: int,
-    verified: dict[tuple[bytes, bytes], Certificate] | None = None,
+    verified: MutableMapping[tuple[bytes, bytes], Certificate] | None = None,
 ) -> ChainValidation:
     """Validate structure, anchor membership, time windows, then signatures.
 
@@ -361,9 +374,13 @@ def validate_chain(
     ``verified`` is an optional memo: (issuer public key, signature) -> the
     certificate whose signature verified under that key. A certificate equal
     in every field to its entry skips its DID derivation and its signature
-    verify, which depend on nothing else. Structure, issuer links, anchor
-    membership and every window are checked on every call. The certificates
-    that missed are added only once the whole chain has validated.
+    verify, which depend on nothing else, so the memo's contents never change
+    a verdict: a missing entry costs only the verify it would have saved.
+    That lets the memo be a ``weakref.WeakValueDictionary``, whose entries
+    live while something else holds their certificates. Structure, issuer
+    links, anchor membership and every window are checked on every call. The
+    certificates that missed are added only once the whole chain has
+    validated, and never replace a live entry.
     """
     agent, inter, root = chain.agent, chain.intermediate, chain.root
 
@@ -373,7 +390,7 @@ def validate_chain(
         return ChainValidation(False, CHAIN_INVALID, "issuer/subject linkage broken")
     if root.issuer_did != root.subject_did:
         return ChainValidation(False, CHAIN_INVALID, "root certificate is not self-signed")
-    unverified = [(cert, issuer) for cert, issuer in ((agent, inter), (inter, root), (root, root))
+    unverified = [(cert, issuer) for cert, issuer in chain.links()
                   if verified is None or not _memo_hit(verified, cert, issuer)]
     for cert in (agent, inter, root):
         if cert.not_before >= cert.not_after:
@@ -395,7 +412,7 @@ def validate_chain(
 
     if verified is not None:
         for cert, issuer in unverified:
-            verified[(issuer.public_key, cert.signature)] = cert
+            verified.setdefault((issuer.public_key, cert.signature), cert)
     return ChainValidation(True)
 
 

@@ -51,11 +51,14 @@ CERT_EXPIRY_WARNING_S = 30 * 86400
 
 def quantile(samples: list[float], q: float) -> float:
     """Nearest-rank quantile over raw samples."""
-    if not samples:
+    return nearest_rank(sorted(samples), q)
+
+
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank quantile over samples already sorted ascending."""
+    if not ordered:
         return 0.0
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class Timer:
@@ -127,16 +130,19 @@ class Metrics:
 
     def snapshot(self, records=(), now: int = 0,
                  cert_expiry_warning_s: int = CERT_EXPIRY_WARNING_S) -> MetricsSnapshot:
+        # Only the copies are made under the lock: sorting full rings would
+        # hold up every ``observe`` for as long.
         with self._lock:
             counters = dict(self._counters)
-            histograms = {}
-            for op in self._operations:
-                samples = list(self._samples[op])
-                histograms[op] = HistogramStats(
-                    count=self._counts[op],
-                    sum_ms=self._sums[op],
-                    quantiles_ms={str(q): quantile(samples, q) for q in QUANTILES},
-                )
+            rings = [(op, self._counts[op], self._sums[op], list(self._samples[op]))
+                     for op in self._operations]
+        histograms = {}
+        for op, count, sum_ms, samples in rings:
+            samples.sort()
+            histograms[op] = HistogramStats(
+                count=count, sum_ms=sum_ms,
+                quantiles_ms={str(q): nearest_rank(samples, q) for q in QUANTILES},
+            )
         expiring = sum(
             1 for r in records
             if 0 <= remaining_validity(r.chain.agent, now) < cert_expiry_warning_s

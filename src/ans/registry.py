@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -39,7 +40,6 @@ from .identity import (
     CapabilityCommitment,
     Certificate,
     CertificateChain,
-    ROLE_AGENT,
     validate_chain,
     verify_signature,
     window_error,
@@ -409,10 +409,13 @@ class Registry:
     more for each answer, and evicts its oldest answers first.
 
     ``verified`` is the ``validate_chain`` memo for register and attest: the
-    certificates whose signatures this process has verified. It holds the
-    issuers plus at most one agent certificate per stored record, since
-    ``_store``, ``sweep_expired`` and a failed registration drop the rest.
-    Recovery verifies nothing, so it adds nothing.
+    certificates whose signatures this process has verified. Its values are
+    weak references, so an entry lives exactly while something holds its
+    certificate. A registered record holds the memo's own objects, so the
+    memo keeps the certificates of the stored records and of the requests
+    still being served, and no code drops entries. Its contents never change
+    a verdict, only how many signatures are verified. Recovery verifies
+    nothing, so it adds nothing.
     """
 
     def __init__(
@@ -439,7 +442,8 @@ class Registry:
             OrderedDict()
         self._answer_refs = 0
         self._writes = 0
-        self.verified: dict[tuple[bytes, bytes], Certificate] = {}
+        self.verified: weakref.WeakValueDictionary[tuple[bytes, bytes], Certificate] = \
+            weakref.WeakValueDictionary()
         self.last_seq = 0
 
     # -- policies ------------------------------------------------------------
@@ -480,9 +484,9 @@ class Registry:
 
     def _store(self, key: str, record: AgentRecord) -> None:
         """Put a record under its key, keeping the posting lists (which hold
-        only non-revoked records), the verdict memo, the answer cache and the
-        verified memo in step. Every record under one key has the same name,
-        so only a status change moves it."""
+        only non-revoked records), the verdict memo and the answer cache in
+        step. Every record under one key has the same name, so only a status
+        change moves it."""
         self._drop_answers()
         existing = self._records.get(key)
         was_listed = existing is not None and existing.status == STATUS_ACTIVE
@@ -493,20 +497,6 @@ class Registry:
             self._index_add(key, record.name)
         self._records[key] = record
         self._verdicts.pop(key, None)
-        agent = record.chain.agent
-        if existing is not None and existing.chain.agent != agent:
-            self._forget_agent(existing.chain)
-        # An equal certificate decoded from a later request replaces the
-        # memo's, so the memo keeps no object that no record holds.
-        entry = (record.chain.intermediate.public_key, agent.signature)
-        if self.verified.get(entry) == agent:
-            self.verified[entry] = agent
-
-    def _forget_agent(self, chain: CertificateChain) -> None:
-        """Drop the chain's agent certificate from the verified memo."""
-        entry = (chain.intermediate.public_key, chain.agent.signature)
-        if self.verified.get(entry) == chain.agent:
-            self.verified.pop(entry, None)
 
     def _append(self, kind: str, payload: bytes, at: int) -> None:
         """Log an event whose payload is given as canonical bytes. Keys in
@@ -556,31 +546,19 @@ class Registry:
         with Timer(self._observe, "chain_validation"):
             validation = validate_chain(request.chain, self.trust_anchors, now, self.verified)
         validation.raise_if_invalid()
-        try:
-            return self._admit(parsed, request, now)
-        except BaseException:
-            # A chain that validated entered the verified memo; keep its
-            # agent certificate only while a stored record holds it, which
-            # can only be the record under the certificate's own name.
-            agent = request.chain.agent
-            with self._lock:
-                stored = (self._records.get(agent.subject_name.render())
-                          if agent.subject_name is not None else None)
-                if stored is None or stored.chain.agent != agent:
-                    self._forget_agent(request.chain)
-            raise
+        return self._admit(parsed, request, now)
 
-    def _with_verified_issuers(self, chain: CertificateChain) -> CertificateChain:
-        """A chain that ``validate_chain`` passed, with its intermediate and
-        root swapped for the field-equal objects the verified memo holds, so
-        records registered over the wire share one object per issuer, as
-        recovered ones do."""
-        root_key = chain.root.public_key
-        inter = self.verified.get((root_key, chain.intermediate.signature))
-        root = self.verified.get((root_key, chain.root.signature))
-        if inter != chain.intermediate or root != chain.root:
-            return chain
-        return CertificateChain(chain.agent, inter, root)
+    def _memo_chain(self, chain: CertificateChain) -> CertificateChain:
+        """A chain that ``validate_chain`` passed, made of the verified
+        memo's objects: each certificate is swapped for the field-equal one
+        its entry holds, or becomes the entry if it has none. The record that
+        keeps the chain then keeps its entries alive, and records registered
+        over the wire share one object per issuer, as recovered ones do."""
+        certs = []
+        for cert, issuer in chain.links():
+            known = self.verified.setdefault((issuer.public_key, cert.signature), cert)
+            certs.append(known if known is cert or known == cert else cert)
+        return CertificateChain(*certs)
 
     def _admit(self, parsed: AnsName, request: RegistrationRequest, now: int) -> AgentRecord:
         """Everything ``register`` checks after the chain, then the write."""
@@ -607,7 +585,7 @@ class Registry:
             name=parsed,
             did=agent_cert.subject_did,
             endpoint=request.endpoint,
-            chain=self._with_verified_issuers(request.chain),
+            chain=self._memo_chain(request.chain),
             commitments=tuple(sorted(request.commitments, key=lambda c: c.capability)),
             namespace=request.namespace,
             registered_at=now,
@@ -771,9 +749,7 @@ class Registry:
 
     def sweep_expired(self, now: int) -> int:
         """Drop expired records from memory. Resolution already excludes them
-        lazily; this only reclaims space, so it appends no event. The
-        verified memo keeps only issuers and the agent certificates of the
-        records that remain."""
+        lazily; this only reclaims space, so it appends no event."""
         removed = 0
         with self._lock:
             for key in [k for k, r in self._records.items() if now > r.expires_at]:
@@ -784,12 +760,6 @@ class Registry:
                 removed += 1
             if removed:
                 self._drop_answers()
-            stored = {(r.chain.intermediate.public_key, r.chain.agent.signature): r.chain.agent
-                      for r in self._records.values()}
-            # A copy: validations outside the lock may add entries meanwhile.
-            for entry, cert in list(self.verified.items()):
-                if cert.role == ROLE_AGENT and stored.get(entry) != cert:
-                    self.verified.pop(entry, None)
         return removed
 
     def get_active(self, name_text: str, now: int) -> AgentRecord | None:

@@ -505,7 +505,10 @@ class _Handler:
         except AnsError as exc:
             status, content_type = STATUS_BY_CODE[exc.code], _JSON
             body = canonical_bytes(exc.to_doc())
-        except Exception as exc:  # pragma: no cover - last-resort guard
+        except Exception:
+            # A fault of the server: its text stays in the server's stderr.
+            import traceback  # only a failing request pays for the import
+            traceback.print_exc()
             status, content_type = 500, _JSON
-            body = canonical_bytes({"error": codes.INTERNAL, "message": str(exc)})
+            body = canonical_bytes(AnsError(codes.INTERNAL, _REASONS[500]).to_doc())
         self._send(status, content_type, body)

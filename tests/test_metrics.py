@@ -7,8 +7,10 @@ import time
 import pytest
 
 import ans
+from ans import metrics as metrics_module
 from ans.metrics import (
     OPERATIONS,
+    QUANTILES,
     Alert,
     AlertConfig,
     Metrics,
@@ -53,6 +55,31 @@ def test_quantile_nearest_rank_oracle():
             expected = sorted(samples)[max(1, math.ceil(q * len(samples))) - 1]
             assert quantile(samples, q) == expected
     assert quantile([], 0.99) == 0.0
+
+
+def test_snapshot_ranks_samples_outside_the_lock(monkeypatch):
+    """A snapshot's quantiles equal ``quantile`` over the raw samples, and
+    they are ranked while the lock is free, so a scrape of full rings does
+    not hold up ``observe``."""
+    metrics = Metrics()
+    rng = random.Random(5)
+    samples = {op: [rng.random() * 100 for _ in range(rng.randrange(1, 300))]
+               for op in OPERATIONS}
+    for op, values in samples.items():
+        for value in values:
+            metrics.observe(op, value)
+    locked = []
+    real = metrics_module.nearest_rank
+
+    def ranking(ordered, q):
+        locked.append(metrics._lock.locked())
+        return real(ordered, q)
+
+    monkeypatch.setattr(metrics_module, "nearest_rank", ranking)
+    histograms = metrics.snapshot().histograms
+    assert len(locked) == len(OPERATIONS) * len(QUANTILES) and not any(locked)
+    for op, values in samples.items():
+        assert histograms[op].quantiles_ms == {str(q): quantile(values, q) for q in QUANTILES}
 
 
 def test_counters_monotonic_and_rendered():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ans import attestation, identity as identity_module, names
 from ans import registry as registry_module
 from ans.canonical import canonical_bytes, canonical_json
-from ans.client import build_registration_request
+from ans.client import RegistryClient, attest_with, build_registration_request, renew_with
 from ans.errors import AnsError
 from ans.identity import (
     AGENT_VALIDITY_S,
@@ -50,6 +50,7 @@ from ans.registry import (
     renewal_payload,
     revocation_payload,
 )
+from ans.server import AnsServer
 from conftest import NOW, make_identity, make_name
 from genutil import random_label, random_name
 
@@ -975,7 +976,7 @@ def test_memo_holds_stored_agents_plus_issuers(registry, ca):
         registry.register(build_registration_request(identity, "ns-0"), NOW)
     register(registry, ca, make_name(53), now=NOW + 10)
     assert _memo_roles(registry) == ["agent", "agent", "intermediate", "root"]
-    stored = dict(registry.verified)
+    stored = set(registry.verified)
 
     failing = [
         # bad request signature, under a fresh and under the stored certificate
@@ -990,7 +991,8 @@ def test_memo_holds_stored_agents_plus_issuers(registry, ca):
     for request in failing:
         with pytest.raises(AnsError):
             registry.register(request, NOW)
-        assert registry.verified == stored
+    del failing, request, identity
+    assert set(registry.verified) == stored
 
     assert registry.sweep_expired(NOW + registry.record_ttl_seconds + 5) == 1
     assert _memo_roles(registry) == ["agent", "intermediate", "root"]
@@ -1049,8 +1051,83 @@ def test_memo_under_concurrent_writers_and_sweeps(ca, allow_policies):
     registry.sweep_expired(NOW)
     expected = {c.chain.agent for c in (cs[-1] for cs in chains)} | {ca.intermediate_cert,
                                                                      ca.root_cert}
+    del chains, bad
     assert set(registry.verified.values()) == expected
     assert len(registry.verified) == len(expected)
+
+
+def _over_the_wire(request):
+    """The request as the server decodes it: new objects, equal fields."""
+    return RegistrationRequest.from_doc(request.to_doc())
+
+
+def _agent_entry(identity):
+    """The verified memo's key for the identity's agent certificate."""
+    return identity.chain.intermediate.public_key, identity.chain.agent.signature
+
+
+def test_memo_entries_live_while_a_holder_lives(registry, ca):
+    """With no registry call in between, an entry disappears once the last
+    holder of its certificate goes: a failed registration's request, a record
+    rotated out, a swept record. It stays while a stored record holds it.
+    Requests arrive decoded, so the test's identities hold none of the
+    memo's objects."""
+    identity = make_identity(ca, make_name(61))
+    entry = _agent_entry(identity)
+    failing = _over_the_wire(dataclasses.replace(build_registration_request(identity, "ns-0"),
+                                                 endpoint="elsewhere"))
+    with pytest.raises(AnsError) as err:
+        registry.register(failing, NOW)
+    assert err.value.code == "BAD_SIGNATURE"
+    del err
+    assert len(registry.verified) == 3 and entry in registry.verified
+    del failing
+    assert len(registry.verified) == 0
+
+    registry.register(_over_the_wire(build_registration_request(identity, "ns-0")), NOW)
+    assert len(registry.verified) == 3 and entry in registry.verified
+    rotated = _rotated(ca, identity, NOW)
+    registry.register(_over_the_wire(build_registration_request(rotated, "ns-0")), NOW)
+    assert entry not in registry.verified
+    assert len(registry.verified) == 3 and _agent_entry(rotated) in registry.verified
+
+    assert registry.sweep_expired(NOW + registry.record_ttl_seconds + 1) == 1
+    assert len(registry.verified) == 0
+
+
+def test_wire_verify_counts(server, ca, verifies):
+    """Through the HTTP server, as the benchmark drives it: registering a
+    fresh certificate costs 4 Ed25519 verifies, a rotated one 2 and the same
+    request again 1. On a server recovered from the log, the first attest
+    costs 5 and the second 2; a renewal costs 1."""
+    identity = make_identity(ca, make_name(62))
+    rc = RegistryClient(server.url)
+    try:
+        rc.post("/v1/agents", build_registration_request(identity, "ns-0").to_doc())
+        assert len(verifies) == 4
+        identity = _rotated(ca, identity, NOW)
+        request = build_registration_request(identity, "ns-0").to_doc()
+        for expected in (2, 1):
+            verifies.clear()
+            rc.post("/v1/agents", request)
+            assert len(verifies) == expected
+    finally:
+        rc.close()
+    restarted = AnsServer(dataclasses.replace(server.config, snapshot_path=None))
+    restarted.start()
+    rc = RegistryClient(restarted.url)
+    try:
+        for expected in (5, 2):
+            verifies.clear()
+            assert attest_with(identity, restarted.url, identity.name.capability,
+                               client=rc)["granted"]
+            assert len(verifies) == expected
+        verifies.clear()
+        renew_with(identity, restarted.url, client=rc)
+        assert len(verifies) == 1
+    finally:
+        rc.close()
+        restarted.shutdown()
 
 
 # -- one encoding per written record -----------------------------------------------------

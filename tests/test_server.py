@@ -641,6 +641,25 @@ def test_unknown_route_404(server):
         assert json.loads(err.read())["error"] == "UNKNOWN_ROUTE"
 
 
+def test_unexpected_exception_answers_a_bare_500(server, monkeypatch, capsys):
+    """An operation that raises something other than ``AnsError`` gets 500
+    INTERNAL with a fixed message; the exception's text and its traceback go
+    to the server's stderr, never into the reply."""
+    def broken(params):
+        raise RuntimeError("secret-text")
+
+    monkeypatch.setattr(server, "op_resolve", broken)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(server.url + "/v1/resolve?capability=cap-a")
+    with err.value:
+        status, body = err.value.code, err.value.read()
+    assert status == 500
+    assert json.loads(body) == {"error": "INTERNAL", "message": "Internal Server Error"}
+    assert b"secret-text" not in body
+    stderr = capsys.readouterr().err
+    assert "Traceback" in stderr and "RuntimeError: secret-text" in stderr
+
+
 # -- register and renew replies ------------------------------------------------------------
 
 
