@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import names
 from .canonical import canonical_json
-from .errors import DENIAL_CODES, MALFORMED, AnsError, TransportError, decode_doc
+from .errors import DENIAL_CODES, MALFORMED, AnsError, TransportError, read_doc
 from .identity import Certificate, CertificateChain, KeyPair, build_ca, derive_did
 from .manifest import parse_duration, validate_admission
 from .policy import load_policy_file
@@ -55,9 +55,7 @@ def _write_private(path: str, doc) -> None:
 
 def _load_json(path: str, what: str, decode):
     """``decode`` of a JSON file's document; a fault in the file is ``MALFORMED``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return decode_doc(f"{what} {path}", lambda text: decode(json.loads(text)), raw)
+    return read_doc(path, what, lambda raw: decode(json.loads(raw)))
 
 
 def _load_manifest_doc(path: str):
@@ -65,10 +63,8 @@ def _load_manifest_doc(path: str):
     bytes that are neither are ``MALFORMED``."""
     import yaml
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        return yaml.safe_load(raw)
+        return read_doc(path, "manifest", yaml.safe_load)
     except yaml.YAMLError as exc:
         raise AnsError(MALFORMED, f"bad manifest {path}: {exc}") from exc
 
@@ -452,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -131,6 +131,10 @@ def bootstrap_identity(
 # -- registry HTTP client ----------------------------------------------------
 
 
+def _json_reply(raw: bytes):
+    return json.loads(raw) if raw else None
+
+
 class RegistryClient:
     """HTTP client with one persistent connection per instance.
 
@@ -177,14 +181,11 @@ class RegistryClient:
                 self.close()
                 if attempt == attempts - 1:
                     raise TransportError(f"{method} {path}: {exc}") from exc
-        content_type = response.headers.get("Content-Type", "")
-        if content_type.startswith("text/plain"):
-            doc = raw.decode("utf-8")
-        else:
-            try:
-                doc = json.loads(raw) if raw else None
-            except ValueError as exc:
-                raise TransportError(f"{method} {path}: undecodable response") from exc
+        text = response.headers.get("Content-Type", "").startswith("text/plain")
+        try:
+            doc = decode_doc("reply", bytes.decode if text else _json_reply, raw)
+        except AnsError as exc:
+            raise TransportError(f"{method} {path}: undecodable response") from exc
         if response.status >= 400:
             if isinstance(doc, dict) and "error" in doc:
                 raise AnsError(doc["error"], doc.get("message", ""), doc.get("details"))
@@ -379,10 +380,7 @@ def _recv_doc(transport, timeout: float, *expected: str) -> dict:
         raw = transport.recv(timeout)
     except TimeoutError:
         raise AnsError(HANDSHAKE_TIMEOUT, "peer did not answer in time")
-    try:
-        doc = json.loads(raw)
-    except (RecursionError, ValueError) as exc:
-        raise AnsError(MALFORMED, f"undecodable handshake message: {exc}")
+    doc = decode_doc("handshake message", json.loads, raw)
     if not isinstance(doc, dict) or "type" not in doc:
         raise AnsError(MALFORMED, "handshake message must carry a type")
     if doc["type"] == "abort":

@@ -2,8 +2,15 @@
 
 Every failure that crosses a module or wire boundary carries one of the codes
 below, and ``STATUS_BY_CODE`` gives each its HTTP status; the CLI maps codes to
-exit codes. Codes outside this set are a bug. ``decode_doc`` and
-``read_fields`` turn a wrongly shaped document into one of these codes.
+exit codes. Codes outside this set are a bug.
+
+Every document from outside the process (a request body, a handshake
+message, a registry reply, a config, anchor, identity, CA, manifest or
+policy file, an event-log line, a snapshot) is decoded through
+``decode_doc``, or ``read_doc`` for a file, so the exceptions that mean
+"this document is malformed" are listed once, in ``DECODE_ERRORS``, and each
+reader only chooses the code they become. ``read_fields`` then checks a
+decoded map against a closed schema.
 """
 
 from __future__ import annotations
@@ -106,12 +113,26 @@ class AnsError(Exception):
         return doc
 
 
-def decode_doc(what: str, decode, doc):
-    """``decode(doc)``, with a document of the wrong shape raised as MALFORMED."""
+# What a decoder raises on a malformed document: a missing key or attribute,
+# a value of the wrong type, text that does not parse or decode (a
+# ``UnicodeDecodeError`` is a ``ValueError``), a number too large to convert,
+# and nesting too deep to decode.
+DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
+
+
+def decode_doc(what: str, decode, doc, code: str = MALFORMED, details: Any = None):
+    """``decode(doc)``, with a malformed document raised as ``code``, naming
+    ``what``. An ``AnsError`` that ``decode`` raises passes through."""
     try:
         return decode(doc)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise AnsError(MALFORMED, f"bad {what}: {exc}") from exc
+    except DECODE_ERRORS as exc:
+        raise AnsError(code, f"bad {what}: {exc}", details) from exc
+
+
+def read_doc(path: str, what: str, decode, code: str = MALFORMED):
+    """``decode_doc`` of the bytes of the file at ``path``, naming the file."""
+    with open(path, "rb") as fh:
+        return decode_doc(f"{what} {path}", decode, fh.read(), code)
 
 
 class Check(NamedTuple):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from . import names
 from .errors import (
-    MALFORMED, MAP, NON_NEGATIVE_INT, STRING, STRING_LIST, AnsError, Check, one_of, read_fields,
+    MALFORMED, MAP, NON_NEGATIVE_INT, STRING, STRING_LIST, AnsError, Check, decode_doc, one_of,
+    read_fields,
 )
 from .identity import CertificateChain, validate_chain
 from .names import AnsName
@@ -38,7 +39,8 @@ from .policy import (
 API_VERSION = "ans.io/v1"
 KIND = "Agent"
 
-_DURATION_RE = re.compile(r"^([1-9][0-9]*)([dhms])$")
+# Used with ``fullmatch``: ``$`` would also match before a final newline.
+_DURATION_RE = re.compile(r"([1-9][0-9]*)([dhms])")
 _DURATION_UNITS = {"d": 86400, "h": 3600, "m": 60, "s": 1}
 
 
@@ -46,10 +48,10 @@ def parse_duration(text: str) -> int:
     """``90d`` / ``12h`` / ``30m`` / ``45s`` to seconds."""
     if not isinstance(text, str):
         raise AnsError(MALFORMED, "duration must be a string")
-    match = _DURATION_RE.match(text)
+    match = _DURATION_RE.fullmatch(text)
     if not match:
         raise AnsError(MALFORMED, f"duration {text!r} must match <n>d|h|m|s")
-    return int(match.group(1)) * _DURATION_UNITS[match.group(2)]
+    return decode_doc("duration", int, match.group(1)) * _DURATION_UNITS[match.group(2)]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .errors import (
     INVALID_PROTOCOL,
     INVALID_VERSION,
     MALFORMED,
+    decode_doc,
 )
 
 PROTOCOLS = ("a2a", "mcp", "acp", "custom")
@@ -64,7 +65,13 @@ def validate_label(value: str, field: str = "label") -> str:
 def _parse_number(token: str, field: str) -> int:
     if not _NUMBER_RE.fullmatch(token):
         raise AnsError(INVALID_VERSION, f"{field} component {token!r} is not a plain decimal")
-    return int(token)
+    return _number(token)
+
+
+def _number(digits: str) -> int:
+    """The value of a run of digits; one too long for ``int`` to convert is
+    INVALID_VERSION."""
+    return decode_doc("version component", int, digits, INVALID_VERSION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +140,7 @@ def parse(text: str) -> AnsName:
     if match is None:
         return _parse_fields(text)
     protocol, agent_id, capability, provider, major, minor, patch, extension = match.groups()
-    version = Version(int(major), int(minor), None if patch is None else int(patch))
+    version = Version(_number(major), _number(minor), None if patch is None else _number(patch))
     return AnsName(protocol, agent_id, capability, provider, version, extension)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     LIST, NON_EMPTY_STRING, NON_NEGATIVE_INT, POLICY_PARSE, STRING, STRING_LIST, AnsError, Check,
-    one_of, read_fields,
+    decode_doc, one_of, read_doc, read_fields,
 )
 from .names import AnsName
 
@@ -186,10 +186,7 @@ def load_policies(document: str | bytes) -> list[Policy]:
     """Parse a policy file: canonical-text document with a top-level
     ``policies`` array. Bytes that do not decode as JSON text, and unknown
     keys anywhere, are POLICY_PARSE errors."""
-    try:
-        doc = json.loads(document)
-    except (RecursionError, ValueError) as exc:
-        raise AnsError(POLICY_PARSE, f"not a valid document: {exc}") from exc
+    doc = decode_doc("policy document", json.loads, document, POLICY_PARSE)
     top = read_fields(doc, "document", {"policies": (LIST, ())}, POLICY_PARSE)
     policies = [
         _parse_policy(p, f"policies[{i}]") for i, p in enumerate(top["policies"])
@@ -201,8 +198,7 @@ def load_policies(document: str | bytes) -> list[Policy]:
 def load_policy_file(path: str) -> list[Policy]:
     """The policies of the file at ``path``, read as bytes, so that bytes
     which do not decode as text are POLICY_PARSE like any other fault."""
-    with open(path, "rb") as fh:
-        return load_policies(fh.read())
+    return read_doc(path, "policy file", load_policies, POLICY_PARSE)
 
 
 def policies_to_doc(policies) -> dict:

@@ -35,6 +35,8 @@ from .errors import (
     POLICY_DENIED,
     REVOKED,
     UNKNOWN_AGENT,
+    decode_doc,
+    read_doc,
 )
 from .identity import (
     CapabilityCommitment,
@@ -347,15 +349,8 @@ class EventLog:
                     return
                 if line.isspace():
                     continue
-                try:
-                    doc = json.loads(line)
-                    event = RegistryEvent.from_doc(doc)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise AnsError(
-                        LOG_CORRUPT,
-                        f"unparseable event at line {lineno}: {exc}",
-                        details={"last_good_seq": last_good, "line": lineno},
-                    )
+                event, bare = decode_doc(f"event at line {lineno}", _read_event, line,
+                                         LOG_CORRUPT, {"last_good_seq": last_good, "line": lineno})
                 if event.seq <= after_seq:
                     continue  # covered by the snapshot
                 if event.seq != expected:
@@ -364,9 +359,27 @@ class EventLog:
                         f"sequence gap at line {lineno}: expected {expected}, got {event.seq}",
                         details={"last_good_seq": last_good, "line": lineno},
                     )
-                yield lineno, event, line if len(doc) == 4 else None
+                yield lineno, event, line if bare else None
                 last_good = event.seq
                 expected += 1
+
+
+def _read_event(line: bytes) -> tuple[RegistryEvent, bool]:
+    """The event of a log line, and whether the line holds no other field."""
+    doc = json.loads(line)
+    return RegistryEvent.from_doc(doc), len(doc) == 4
+
+
+def _recovered(what: str, apply, doc, details=None):
+    """``apply(doc)`` for a document recovery reads back, any refusal of which
+    is LOG_CORRUPT: recovery trusts what it wrote, so a logged record that a
+    reader refuses, whatever its code, means the file is damaged."""
+    try:
+        return decode_doc(what, apply, doc, LOG_CORRUPT, details)
+    except AnsError as exc:
+        if exc.code == LOG_CORRUPT:
+            raise
+        raise AnsError(LOG_CORRUPT, f"bad {what}: {exc}", details) from exc
 
 
 def _ignore(operation: str, latency_ms: float) -> None:
@@ -822,8 +835,15 @@ class Registry:
             key = event.payload["name"]
             self._store(key, replace(self._records[key], status=STATUS_REVOKED))
         else:
-            raise AnsError(LOG_CORRUPT, f"unknown event kind {event.kind!r}")
+            raise ValueError(f"unknown event kind {event.kind!r}")
         self.last_seq = event.seq
+
+    def _load_snapshot(self, raw: bytes, decoder: RecordDecoder) -> None:
+        doc = json.loads(raw.decode("utf-8"))
+        self.last_seq = int(doc["last_seq"])
+        for record_doc in doc["records"]:
+            record = _recovered("snapshot record", decoder.record, record_doc)
+            self._store(record.name.render(), record)
 
     @classmethod
     def recover(
@@ -857,29 +877,14 @@ class Registry:
                        record_ttl_seconds=record_ttl_seconds, log=None, observe=observe)
         decoder = RecordDecoder()
         if snapshot_path is not None and os.path.exists(snapshot_path):
-            with open(snapshot_path, "r", encoding="utf-8") as fh:
-                try:
-                    doc = json.load(fh)
-                except ValueError as exc:
-                    raise AnsError(LOG_CORRUPT, f"snapshot unreadable: {exc}")
-            try:
-                registry.last_seq = int(doc["last_seq"])
-                for record_doc in doc["records"]:
-                    record = decoder.record(record_doc)
-                    registry._store(record.name.render(), record)
-            except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise AnsError(LOG_CORRUPT, f"malformed snapshot: {exc!r}") from exc
+            read_doc(snapshot_path, "snapshot",
+                     lambda raw: registry._load_snapshot(raw, decoder), LOG_CORRUPT)
         if log_path is not None and os.path.exists(log_path):
             for lineno, event, line in EventLog.read_numbered(log_path,
                                                                after_seq=registry.last_seq):
-                try:
-                    registry._apply_event(event, decoder, line)
-                except (AnsError, AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise AnsError(
-                        LOG_CORRUPT,
-                        f"malformed {event.kind!r} event at line {lineno}: {exc}",
-                        details={"last_good_seq": registry.last_seq, "line": lineno},
-                    ) from exc
+                _recovered(f"{event.kind!r} event at line {lineno}",
+                           lambda event: registry._apply_event(event, decoder, line), event,
+                           {"last_good_seq": registry.last_seq, "line": lineno})
         if log_path is not None:
             registry._log = EventLog(log_path, fsync=fsync)
         return registry

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import sys
 import time
@@ -45,7 +46,8 @@ from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
 from .canonical import canonical_bytes
 from .errors import (
-    BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, decode_doc, read_fields,
+    BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, decode_doc, read_doc,
+    read_fields,
 )
 from .identity import Certificate, CertificateChain
 from .listener import Listener
@@ -56,6 +58,10 @@ from .registry import AgentRecord, RegistrationRequest, Registry
 
 # Largest request body read; a registration or a manifest is a few KiB.
 MAX_BODY_BYTES = 1 << 20
+# A byte count in ASCII digits. Leading zeros are allowed, but no more
+# digits after them than MAX_BODY_BYTES has, so a count too long for ``int``
+# to convert is refused before it is converted.
+_CONTENT_LENGTH = re.compile(r"0*([0-9]{1,%d})" % len(str(MAX_BODY_BYTES)))
 # The stdlib's request limits: bytes per request line and per header line,
 # header lines per request.
 MAX_REQUEST_LINE = 65536
@@ -98,11 +104,10 @@ class ServerConfig:
         env = os.environ if env is None else env
         values: dict = {}
         if config_path is not None:
-            where = f"config {config_path}"
-            with open(config_path, "rb") as fh:
-                doc = decode_doc(where, json.loads, fh.read())
-            values = read_fields(doc, where, {key: (check, getattr(cls, key))
-                                              for key, check in cls._FILE_CHECKS.items()})
+            doc = read_doc(config_path, "config", json.loads)
+            values = read_fields(doc, f"config {config_path}",
+                                 {key: (check, getattr(cls, key))
+                                  for key, check in cls._FILE_CHECKS.items()})
         for attr, env_key in cls._ENV_KEYS.items():
             if env.get(env_key):
                 values[attr] = env[env_key]
@@ -121,8 +126,7 @@ class ServerConfig:
 
 def load_anchors(path: str) -> tuple[Certificate, ...]:
     """The certificates of a JSON array file; a fault in it is ``MALFORMED``."""
-    with open(path, "rb") as fh:
-        return decode_doc(f"trust anchor file {path}", _anchors_from_json, fh.read())
+    return read_doc(path, "trust anchor file", _anchors_from_json)
 
 
 def _anchors_from_json(raw: bytes) -> tuple[Certificate, ...]:
@@ -440,20 +444,17 @@ class _Handler:
                    canonical_bytes(AnsError(error, message or _REASONS[status]).to_doc()))
 
     def _read_body(self) -> dict:
-        length = self.headers.get("content-length", "0")
-        if not (length.isascii() and length.isdigit()) or int(length) > MAX_BODY_BYTES:
+        length = _CONTENT_LENGTH.fullmatch(self.headers.get("content-length", "0"))
+        if length is None or int(length[1]) > MAX_BODY_BYTES:
             # The body's extent is unknown or refused, so the connection
             # cannot be reused after the reply.
             self.close_connection = True
             raise AnsError(codes.MALFORMED,
                            f"Content-Length must be a byte count of at most {MAX_BODY_BYTES}")
-        raw = self.rfile.read(int(length))
+        raw = self.rfile.read(int(length[1]))
         if not raw:
             raise AnsError(codes.MALFORMED, "empty request body")
-        try:
-            body = json.loads(raw)
-        except (RecursionError, ValueError) as exc:
-            raise AnsError(codes.MALFORMED, f"body is not valid JSON: {exc}")
+        body = decode_doc("request body", json.loads, raw)
         if not isinstance(body, dict):
             raise AnsError(codes.MALFORMED, "body must be a JSON object")
         return body

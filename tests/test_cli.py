@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -291,3 +292,18 @@ def test_undecodable_policy_file_is_policy_parse(workdir, capsys, command):
         argv += ["--manifest", str(workdir / "listing.yaml")]
     assert main(argv + ["--policy", str(policy)]) == 1
     assert "POLICY_PARSE" in capsys.readouterr().err
+
+
+def test_policy_path_that_is_a_directory_exits_1(workdir, capsys):
+    assert main(["policy", "test", "--manifest", str(workdir / "listing.yaml"),
+                 "--policy", str(workdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_serve_on_a_port_in_use_exits_1(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", "--listen", f"127.0.0.1:{port}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -57,6 +57,14 @@ def test_parse_duration_rejects(text):
     assert err.value.code == "MALFORMED"
 
 
+@pytest.mark.parametrize("text", ["90d\n", "9" * 5_000 + "d"],
+                         ids=["final-newline", "5000-digits"])
+def test_parse_duration_refuses_a_final_newline_and_a_count_too_long_to_convert(text):
+    with pytest.raises(AnsError) as err:
+        parse_duration(text)
+    assert err.value.code == "MALFORMED"
+
+
 def test_reference_manifest_parses_consistently(listing_doc):
     manifest = manifest_from_doc(listing_doc)
     assert manifest.name == "concept-drift-detector"

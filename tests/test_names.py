@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -316,3 +317,33 @@ def test_newline_labels_and_versions_are_rejected():
                    {"capability": "cap-a", "version": ">=1.0\n"}):
         with pytest.raises(AnsError):
             NameQuery.from_params(params)
+
+
+# More digits than ``int`` converts (4,300 by default).
+LONG_NUMBER = "9" * 5_000
+
+
+@pytest.mark.parametrize("read,text", [
+    (parse, f"a2a://x.cap.prov.v{LONG_NUMBER}.0.prod"),
+    (parse, f"a2a://x.cap.prov.v1.{LONG_NUMBER}.prod"),
+    (parse, f"a2a://x.cap.prov.v1.0.{LONG_NUMBER}.prod"),
+    (names._parse_fields, f"a2a://x.cap.prov.v{LONG_NUMBER}.0.prod"),
+    (Version.parse, f"{LONG_NUMBER}.0"),
+    (Version.parse, f"1.0.{LONG_NUMBER}"),
+    (VersionRequirement.parse, f"{LONG_NUMBER}.0"),
+    (VersionRequirement.parse, f">=1.{LONG_NUMBER}"),
+], ids=["parse-major", "parse-minor", "parse-patch", "fields-major", "version-major",
+        "version-patch", "requirement-exact", "requirement-at-least"])
+def test_version_number_too_long_to_convert_is_invalid_version(read, text):
+    with pytest.raises(AnsError) as err:
+        read(text)
+    assert err.value.code == "INVALID_VERSION"
+
+
+def test_version_number_as_long_as_int_converts_still_parses():
+    """The only limit on a version number's digits is ``int``'s own."""
+    digits = "9" * sys.get_int_max_str_digits()
+    name = parse(f"a2a://x.cap.prov.v{digits}.0.prod")
+    assert name.version.major == int(digits)
+    assert name.render() == f"a2a://x.cap.prov.v{digits}.0.prod"
+    assert Version.parse(f"1.{digits}").minor == int(digits)

@@ -967,9 +967,10 @@ def _memo_roles(registry):
 
 def test_memo_holds_stored_agents_plus_issuers(registry, ca):
     """After N rotations of one name the memo holds one agent certificate
-    per record plus the intermediate and the root. Failed registrations add
-    nothing and leave a stored record's entry in place; the sweep keeps
-    only what the remaining records hold."""
+    per record plus the intermediate and the root. A failed registration's
+    certificates stay in the memo only while the request is held, and it
+    leaves a stored record's entry in place; the sweep keeps only what the
+    remaining records hold."""
     identity, _ = register(registry, ca, make_name(52))
     for _ in range(5):
         identity = _rotated(ca, identity, NOW)

@@ -471,6 +471,24 @@ def test_resolve_bad_version_constraint_400(server):
         assert json.loads(err.read())["error"] == "INVALID_NAME"
 
 
+# More digits than ``int`` converts (4,300 by default).
+LONG_NUMBER = "9" * 5_000
+
+
+def test_register_with_a_version_too_long_to_convert_is_an_invalid_name(server, ca):
+    name = f"a2a://agent-000.cap-a.prov-0.v{LONG_NUMBER}.0.prod"
+    data = json.dumps(_registration_doc(ca, name=name)).encode()
+    status, doc = _request_raw(server, "POST", "/v1/agents", data)
+    assert (status, doc["error"]) == (400, "INVALID_NAME"), doc
+
+
+def test_resolve_with_a_version_too_long_to_convert_is_invalid_version(server):
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(f"{server.url}/v1/resolve?capability=cap-a&version={LONG_NUMBER}.0")
+    assert err.value.code == 400
+    assert json.loads(err.value.read())["error"] == "INVALID_VERSION"
+
+
 # -- renew / revoke ------------------------------------------------------------------
 
 
@@ -862,6 +880,19 @@ def test_request_smuggled_in_an_unread_body_is_never_answered(server, request_li
         fh = sock.makefile("rb")
         _, headers, _ = _read_response(fh)
         assert headers["connection"] == "close"
+        assert fh.read() == b""
+
+
+def test_content_length_too_long_to_convert_is_refused_and_nothing_after_it_answered(server):
+    """A Content-Length of more digits than ``int`` converts is refused like
+    any other bad length, so the request behind it is never answered."""
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"POST /v1/challenge HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                     + b"9" * 5_000 + b"\r\n\r\n" + HEALTHZ)
+        fh = sock.makefile("rb")
+        status, headers, body = _read_response(fh)
+        assert status == 400 and headers["connection"] == "close"
+        assert json.loads(body)["error"] == "MALFORMED"
         assert fh.read() == b""
 
 
