@@ -17,6 +17,7 @@ import os
 import signal
 import sys
 import time
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from . import names
@@ -252,23 +253,7 @@ def cmd_admission_validate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    config = ServerConfig.load(args.config)
-    overrides = {}
-    if args.listen:
-        overrides["listen"] = args.listen
-    if args.anchors:
-        overrides["anchors_path"] = args.anchors
-    if args.policy:
-        overrides["policy_path"] = args.policy
-    if args.log:
-        overrides["log_path"] = args.log
-    if args.snapshot:
-        overrides["snapshot_path"] = args.snapshot
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    server = AnsServer(config)
+    server = AnsServer(ServerConfig.load(args.config, flags=vars(args)))
 
     def _stop(signum, frame):
         raise KeyboardInterrupt
@@ -408,11 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the registry server")
     p.add_argument("--config")
-    p.add_argument("--listen")
-    p.add_argument("--anchors")
-    p.add_argument("--policy")
-    p.add_argument("--log")
-    p.add_argument("--snapshot")
+    for setting in fields(ServerConfig):
+        if setting.metadata["flag"]:
+            p.add_argument(setting.metadata["flag"], dest=setting.name)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("bench", help="run the desk-scale benchmark")

@@ -16,7 +16,8 @@ Transport is plain HTTP/1.1: authenticity lives in the signed payloads and
 certificate chains, not the socket. Errors are ``{"error": code, "message",
 "details"?}`` with a fixed code-to-status mapping; a method and path outside
 the table above is 404 ``UNKNOWN_ROUTE``, except that HEAD answers each GET
-route as GET does, without the body. Bodies are framed by
+route as GET does, without the body. The table above is ``_ROUTES``, the one
+map from a method and path to an operation. Bodies are framed by
 ``Content-Length`` only, so a request with ``Transfer-Encoding`` is refused.
 
 Connections are accepted by a ``listener.Listener``, which serves each on
@@ -25,9 +26,11 @@ in turn until one closes the connection, no idle timeout. It keeps
 ``http.server``'s limits, replies and framing, but not its imports:
 ``http.server`` loads ``http.client``, and with it ``ssl`` and ``email``,
 which the registry never uses. HTTP/0.9 is refused: a request line without a
-version gets a 400 with a status line. Each reply is sent from one place, and
-still goes out as two writes, the head and then the body; that framing is
-kept on purpose until ROADMAP item 1 changes it.
+version gets a 400 with a status line. Every request, whether the parser
+refuses it, a route answers it, no route matches it or its operation fails,
+is answered by ``_Handler._send``; each reply still goes out as two writes,
+the head and then the body, a framing kept on purpose until ROADMAP item 1
+changes it.
 """
 
 from __future__ import annotations
@@ -39,15 +42,15 @@ import socket
 import sys
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from http import HTTPStatus
 
 from . import attestation, errors as codes, names
 from .attestation import CapabilityProof, ChallengeStore
 from .canonical import canonical_bytes
 from .errors import (
-    BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, decode_doc, read_doc,
-    read_fields,
+    BOOL, LIST, MAP, POSITIVE_INT, STATUS_BY_CODE, STRING, AnsError, Check, decode_doc,
+    read_doc, read_fields,
 )
 from .identity import Certificate, CertificateChain
 from .listener import Listener
@@ -73,44 +76,48 @@ SERVER_HEADER = "ans Python/" + sys.version.split()[0]
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
+def _setting(default, check: Check, env: str | None = None, flag: str | None = None):
+    """A ``ServerConfig`` field: its default, the check on its value in a
+    config file, and the environment variable and ``ansctl serve`` flag, if
+    any, that set it."""
+    return field(default=default, metadata={"check": check, "env": env, "flag": flag})
+
+
 @dataclass(frozen=True)
 class ServerConfig:
-    listen: str = "127.0.0.1:8400"
-    anchors_path: str | None = None
-    policy_path: str | None = None
-    log_path: str | None = None
-    snapshot_path: str | None = None
-    fsync: bool = True
-    record_ttl_seconds: int = 24 * 3600
-    challenge_ttl_seconds: int = attestation.CHALLENGE_TTL_S
+    """The server's settings, each declared once, here, with every way to
+    set it."""
 
-    # The keys a config file may set, and the check on each value.
-    _FILE_CHECKS = {"listen": STRING, "anchors_path": STRING, "policy_path": STRING,
-                    "log_path": STRING, "snapshot_path": STRING, "fsync": BOOL,
-                    "record_ttl_seconds": POSITIVE_INT, "challenge_ttl_seconds": POSITIVE_INT}
-
-    _ENV_KEYS = {
-        "listen": "ANS_LISTEN",
-        "anchors_path": "ANS_ANCHORS_PATH",
-        "policy_path": "ANS_POLICY_PATH",
-        "log_path": "ANS_LOG_PATH",
-        "snapshot_path": "ANS_SNAPSHOT_PATH",
-    }
+    listen: str = _setting("127.0.0.1:8400", STRING, "ANS_LISTEN", "--listen")
+    anchors_path: str | None = _setting(None, STRING, "ANS_ANCHORS_PATH", "--anchors")
+    policy_path: str | None = _setting(None, STRING, "ANS_POLICY_PATH", "--policy")
+    log_path: str | None = _setting(None, STRING, "ANS_LOG_PATH", "--log")
+    snapshot_path: str | None = _setting(None, STRING, "ANS_SNAPSHOT_PATH", "--snapshot")
+    fsync: bool = _setting(True, BOOL)
+    record_ttl_seconds: int = _setting(24 * 3600, POSITIVE_INT)
+    challenge_ttl_seconds: int = _setting(attestation.CHALLENGE_TTL_S, POSITIVE_INT)
 
     @classmethod
-    def load(cls, config_path: str | None = None, env: dict | None = None) -> "ServerConfig":
-        """File values, overridden by environment variables. An unknown file
-        key or a wrongly typed value (a TTL is a positive int) is ``MALFORMED``."""
+    def load(cls, config_path: str | None = None, env: dict | None = None,
+             flags: dict | None = None) -> "ServerConfig":
+        """File values, overridden by environment variables, overridden by
+        ``flags``: each setting's ``ansctl serve`` flag value, keyed by the
+        setting's name; an empty or missing value sets nothing. An unknown
+        file key or a wrongly typed value (a TTL is a positive int) is
+        ``MALFORMED``."""
         env = os.environ if env is None else env
+        flags = flags or {}
         values: dict = {}
         if config_path is not None:
             doc = read_doc(config_path, "config", json.loads)
             values = read_fields(doc, f"config {config_path}",
-                                 {key: (check, getattr(cls, key))
-                                  for key, check in cls._FILE_CHECKS.items()})
-        for attr, env_key in cls._ENV_KEYS.items():
-            if env.get(env_key):
-                values[attr] = env[env_key]
+                                 {s.name: (s.metadata["check"], s.default) for s in fields(cls)})
+        for setting in fields(cls):
+            env_key, flag = setting.metadata["env"], setting.metadata["flag"]
+            if env_key and env.get(env_key):
+                values[setting.name] = env[env_key]
+            if flag and flags.get(setting.name):
+                values[setting.name] = flags[setting.name]
         return cls(**values)
 
     def host_port(self) -> tuple[str, int]:
@@ -139,8 +146,9 @@ def _anchors_from_json(raw: bytes) -> tuple[Certificate, ...]:
 class AnsServer:
     """Registry, challenge store, metrics, and the HTTP front end.
 
-    State is recovered from persistence before the socket accepts traffic;
-    shutdown flushes a snapshot.
+    The socket is bound before state is recovered from persistence, so a
+    server that cannot bind leaves its log as it was; nothing is served
+    before ``start``. Shutdown flushes a snapshot.
     """
 
     def __init__(self, config: ServerConfig, clock=time.time):
@@ -150,17 +158,23 @@ class AnsServer:
         anchors = load_anchors(config.anchors_path) if config.anchors_path else ()
         policies = tuple(load_policy_file(config.policy_path)) if config.policy_path else ()
         self.metrics = Metrics()
-        self.registry = Registry.recover(
-            policies=policies,
-            trust_anchors=anchors,
-            record_ttl_seconds=config.record_ttl_seconds,
-            log_path=config.log_path,
-            snapshot_path=config.snapshot_path,
-            fsync=config.fsync,
-            observe=self.metrics.observe,
-        )
-        self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
+        # Bind first: recovery opens the log for appends, which cuts a torn
+        # final line off it.
         self._listener = Listener((host, port), lambda conn: _Handler(self, conn).handle())
+        try:
+            self.registry = Registry.recover(
+                policies=policies,
+                trust_anchors=anchors,
+                record_ttl_seconds=config.record_ttl_seconds,
+                log_path=config.log_path,
+                snapshot_path=config.snapshot_path,
+                fsync=config.fsync,
+                observe=self.metrics.observe,
+            )
+        except BaseException:
+            self._listener.close()
+            raise
+        self.challenges = ChallengeStore(ttl_seconds=config.challenge_ttl_seconds)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -315,16 +329,36 @@ def _http_date(timestamp: float | None = None) -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-# The route table each request method is dispatched to. HEAD answers a GET
-# route without the body (RFC 9110 §9.3.2): ``_send`` leaves it out.
-_DISPATCH_AS = {"GET": "GET", "HEAD": "GET", "POST": "POST", "DELETE": "DELETE"}
-# The POST routes whose path is fixed, each with its operation.
-_POST_ROUTES = {"/v1/agents": AnsServer.op_register, "/v1/challenge": AnsServer.op_challenge,
-                "/v1/attest": AnsServer.op_attest,
-                "/v1/admission/validate": AnsServer.op_admission}
-_AGENTS = "/v1/agents/"
 _JSON = "application/json"
 _TEXT = "text/plain; charset=utf-8"
+
+# The one map from a request to an operation: (method, path) to the reply's
+# content type and a call ``(server, handler, *names)`` that returns the
+# reply's status and body. A ``{name}`` in a path is an agent name, passed
+# URL-decoded. HEAD answers each GET route without the body (RFC 9110 §9.3.2).
+_ROUTES = {
+    ("POST", "/v1/agents"): (_JSON, lambda ans, req: ans.op_register(req.read_body())),
+    ("POST", "/v1/agents/{name}/renew"):
+        (_JSON, lambda ans, req, name: ans.op_renew(name, req.read_body())),
+    ("DELETE", "/v1/agents/{name}"):
+        (_JSON, lambda ans, req, name: ans.op_revoke(name, req.read_body())),
+    ("GET", "/v1/resolve"): (_JSON, lambda ans, req: ans.op_resolve(req.query_params())),
+    ("POST", "/v1/challenge"): (_JSON, lambda ans, req: ans.op_challenge(req.read_body())),
+    ("POST", "/v1/attest"): (_JSON, lambda ans, req: ans.op_attest(req.read_body())),
+    ("POST", "/v1/admission/validate"):
+        (_JSON, lambda ans, req: ans.op_admission(req.read_body())),
+    ("GET", "/v1/metrics"): (_TEXT, lambda ans, req: ans.op_metrics()),
+    ("GET", "/v1/healthz"): (_TEXT, lambda ans, req: (200, b"ok")),
+}
+# Each route of ``_ROUTES`` with its path as a pattern; ``{name}`` matches any text.
+_PATTERNS = tuple((method, re.compile(re.escape(path).replace(r"\{name\}", "(.*)")), route)
+                  for (method, path), route in _ROUTES.items())
+
+
+class _Refusal(Exception):
+    """``_Refusal(status, message)``: a request the parser refuses, answered
+    with ``status`` and a ``MALFORMED`` error. The rest of the request is
+    unread, so the connection closes."""
 
 
 class _Handler:
@@ -344,35 +378,36 @@ class _Handler:
 
     def handle_one_request(self) -> None:
         """Read, parse and answer one request; every path through it sets
-        ``close_connection``."""
+        ``close_connection``, and every reply goes out through ``_send``."""
         self.command = None
-        line = self.rfile.readline(MAX_REQUEST_LINE + 1)
-        if len(line) > MAX_REQUEST_LINE:
-            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-        elif not line:
+        try:
+            if not self.parse_request():
+                return
+            reply = self._answer()
+        except _Refusal as refusal:
             self.close_connection = True
-        elif self.parse_request(line):
-            method = _DISPATCH_AS.get(self.command)
-            if method is None:
-                self.send_error(HTTPStatus.NOT_FOUND, f"Unsupported method ({self.command!r})",
-                                codes.UNKNOWN_ROUTE)
-            else:
-                self._dispatch(method)
+            status, message = refusal.args
+            reply = status, _JSON, canonical_bytes(AnsError(codes.MALFORMED, message).to_doc())
+        self._send(*reply)
 
-    def parse_request(self, raw: bytes) -> bool:
-        """The stdlib's ``parse_request``, with the header lines split into a
-        dict keyed by lower-cased name instead of parsed by ``email``, which
-        costs about ten times as much per request; of a repeated field the
-        first value counts. Limits and meaning are the stdlib's: 414 for a
-        request line over 65,536 bytes (``handle_one_request``), 431 for a
-        header line over 65,536 bytes or over 100 header lines, 505 for
-        HTTP/2 and later, HTTP/1.0 or ``Connection: close`` closes the
-        connection, and ``Expect: 100-continue`` gets its interim reply.
-        Beyond the stdlib, a request line without a version (HTTP/0.9), a
-        malformed header line, two different ``Content-Length`` values and
-        any ``Transfer-Encoding`` get 400. Every refusal has a status line
-        and closes the connection."""
+    def parse_request(self) -> bool:
+        """Read one request's line and headers: the stdlib's
+        ``parse_request``, with the header lines split into a dict keyed by
+        lower-cased name instead of parsed by ``email``, which costs about
+        ten times as much per request; of a repeated field the first value
+        counts. False means there is no request to answer: the client hung
+        up or sent a blank line. Limits and meaning are the stdlib's: 414 for
+        a request line over 65,536 bytes, 431 for a header line over 65,536
+        bytes or over 100 header lines, 505 for HTTP/2 and later, HTTP/1.0 or
+        ``Connection: close`` closes the connection, and ``Expect:
+        100-continue`` gets its interim reply. Beyond the stdlib, a request
+        line without a version (HTTP/0.9), a malformed header line, two
+        different ``Content-Length`` values and any ``Transfer-Encoding`` get
+        400. Each refusal is raised as a ``_Refusal``."""
         self.close_connection = True
+        raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
+        if len(raw) > MAX_REQUEST_LINE:
+            raise _Refusal(HTTPStatus.REQUEST_URI_TOO_LONG, HTTPStatus.REQUEST_URI_TOO_LONG.phrase)
         requestline = str(raw, "iso-8859-1").rstrip("\r\n")
         words = requestline.split()
         if not words:
@@ -381,19 +416,15 @@ class _Handler:
         if len(words) >= 3:
             number = _version_number(version)
             if number is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
-                return False
+                raise _Refusal(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
             if number >= (2, 0):
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                f"Invalid HTTP version ({version[5:]})")
-                return False
+                raise _Refusal(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                               f"Invalid HTTP version ({version[5:]})")
             self.close_connection = number < (1, 1)
         if len(words) == 2:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({words[0]!r})")
-            return False
+            raise _Refusal(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({words[0]!r})")
         if len(words) != 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
-            return False
+            raise _Refusal(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
         self.command, path = words[:2]
         # As the stdlib does: '//host/x' would read as a scheme-relative URL.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -403,28 +434,23 @@ class _Handler:
         while True:
             line = self.rfile.readline(MAX_HEADER_LINE + 1)
             if len(line) > MAX_HEADER_LINE:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
-                return False
+                raise _Refusal(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             lines += 1
             if lines > MAX_HEADERS:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
-                return False
+                raise _Refusal(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers")
             name, colon, value = str(line, "iso-8859-1").partition(":")
             if not colon or not name or name != name.strip():
-                self.send_error(HTTPStatus.BAD_REQUEST, "Malformed header line")
-                return False
+                raise _Refusal(HTTPStatus.BAD_REQUEST, "Malformed header line")
             name, value = name.lower(), value.strip()
             if name == "content-length" and headers.get(name, value) != value:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Conflicting Content-Length values")
-                return False
+                raise _Refusal(HTTPStatus.BAD_REQUEST, "Conflicting Content-Length values")
             headers.setdefault(name, value)
         if "transfer-encoding" in headers:
             # A proxy that frames the body by its transfer coding would see
             # one request where Content-Length framing sees two (RFC 9112 §11.2).
-            self.send_error(HTTPStatus.BAD_REQUEST, "Transfer-Encoding is not supported")
-            return False
+            raise _Refusal(HTTPStatus.BAD_REQUEST, "Transfer-Encoding is not supported")
 
         connection = headers.get("connection", "").lower()
         if connection == "close":
@@ -435,15 +461,7 @@ class _Handler:
             self.conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
-    def send_error(self, status: int, message: str | None = None,
-                   error: str = codes.MALFORMED) -> None:
-        """A refusal by the parser, as a JSON error. The request may be
-        partly unread, so the connection closes."""
-        self.close_connection = True
-        self._send(status, _JSON,
-                   canonical_bytes(AnsError(error, message or _REASONS[status]).to_doc()))
-
-    def _read_body(self) -> dict:
+    def read_body(self) -> dict:
         length = _CONTENT_LENGTH.fullmatch(self.headers.get("content-length", "0"))
         if length is None or int(length[1]) > MAX_BODY_BYTES:
             # The body's extent is unknown or refused, so the connection
@@ -459,6 +477,11 @@ class _Handler:
             raise AnsError(codes.MALFORMED, "body must be a JSON object")
         return body
 
+    def query_params(self) -> dict[str, str]:
+        """The query's parameters; of a repeated one the last value counts."""
+        query = urllib.parse.urlsplit(self.path).query
+        return {k: v[-1] for k, v in urllib.parse.parse_qs(query).items()}
+
     def _send(self, status: int, content_type: str, data: bytes) -> None:
         # The head and the body go out as two writes, as they did under
         # http.server, so a small reply waits for the client's delayed ACK
@@ -473,36 +496,23 @@ class _Handler:
         if self.command != "HEAD":
             self.conn.sendall(data)
 
-    def _dispatch(self, method: str) -> None:
-        """Run the route's operation, then send its reply, or the error it
-        raised, from one place."""
-        parsed = urllib.parse.urlsplit(self.path)
-        path = parsed.path
+    def _answer(self) -> tuple[int, str, bytes]:
+        """Run the route's operation: the status, content type and body of
+        its reply, or of the error it raised."""
+        method = "GET" if self.command == "HEAD" else self.command
+        path = urllib.parse.urlsplit(self.path).path
         # No GET route reads a body, and a body left unread would be parsed
         # as the next request, so the connection closes after the reply.
         if method == "GET" and self.headers.get("content-length", "0") != "0":
             self.close_connection = True
-        content_type = _JSON
         try:
-            if method == "GET" and path == "/v1/healthz":
-                status, body, content_type = 200, b"ok", _TEXT
-            elif method == "GET" and path == "/v1/metrics":
-                status, body = self.ans.op_metrics()
-                content_type = _TEXT
-            elif method == "GET" and path == "/v1/resolve":
-                params = {k: v[-1] for k, v in urllib.parse.parse_qs(parsed.query).items()}
-                status, body = self.ans.op_resolve(params)
-            elif method == "POST" and path in _POST_ROUTES:
-                status, body = _POST_ROUTES[path](self.ans, self._read_body())
-            elif method == "POST" and path.startswith(_AGENTS) and path.endswith("/renew"):
-                name_text = urllib.parse.unquote(path[len(_AGENTS):-len("/renew")])
-                status, body = self.ans.op_renew(name_text, self._read_body())
-            elif method == "DELETE" and path.startswith(_AGENTS):
-                name_text = urllib.parse.unquote(path[len(_AGENTS):])
-                status, body = self.ans.op_revoke(name_text, self._read_body())
+            for route_method, pattern, (content_type, call) in _PATTERNS:
+                if route_method == method and (match := pattern.fullmatch(path)):
+                    break
             else:
                 self.close_connection = True  # its body, if any, is unread
                 raise AnsError(codes.UNKNOWN_ROUTE, f"no route {method} {path}")
+            status, body = call(self.ans, self, *map(urllib.parse.unquote, match.groups()))
         except AnsError as exc:
             status, content_type = STATUS_BY_CODE[exc.code], _JSON
             body = canonical_bytes(exc.to_doc())
@@ -512,4 +522,4 @@ class _Handler:
             traceback.print_exc()
             status, content_type = 500, _JSON
             body = canonical_bytes(AnsError(codes.INTERNAL, _REASONS[500]).to_doc())
-        self._send(status, content_type, body)
+        return status, content_type, body

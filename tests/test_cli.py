@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -307,3 +308,21 @@ def test_serve_on_a_port_in_use_exits_1(capsys):
         assert main(["serve", "--listen", f"127.0.0.1:{port}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_serve_on_a_port_in_use_leaves_the_log_untouched(tmp_path, capsys):
+    log = tmp_path / "events.log"
+    log.write_bytes(b'{"seq": 1, "ki')
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", "--listen", f"127.0.0.1:{port}", "--log", str(log)]) == 1
+    assert log.read_bytes() == b'{"seq": 1, "ki'
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_serve_flags_are_the_settings_flags(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["serve", "--help"])
+    assert exit_.value.code == 0
+    flags = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["--config", "--listen", "--anchors", "--policy", "--log", "--snapshot"]

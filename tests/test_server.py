@@ -1,5 +1,6 @@
 import dataclasses
 import email.utils
+import gc
 import http.client
 import json
 import os
@@ -14,6 +15,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
+import warnings
 
 import pytest
 import yaml
@@ -28,7 +30,8 @@ from ans.policy import policies_to_doc
 from ans.identity import ROLE_AGENT, issue_certificate
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
 from ans.server import (
-    STATUS_BY_CODE, AnsServer, ServerConfig, _http_date, load_anchors, query_from_params,
+    _ROUTES, STATUS_BY_CODE, AnsServer, ServerConfig, _http_date, load_anchors,
+    query_from_params,
 )
 from conftest import NOW, make_identity, make_name
 from test_manifest import LISTING_MANIFEST_YAML
@@ -122,6 +125,28 @@ def test_started_server_shuts_down_at_once(tmp_path):
     assert time.perf_counter() - started < 0.25
 
 
+TORN_TAIL = b'{"seq": 1, "ki'
+
+
+def test_a_server_that_cannot_bind_leaves_its_log_untouched(tmp_path):
+    """Recovery opens the log, which cuts a torn final line off it, so a
+    server started twice by mistake must fail to bind before it recovers:
+    the log the running server appends to keeps its bytes, and no handle to
+    it is left open."""
+    log = tmp_path / "events.log"
+    log.write_bytes(TORN_TAIL)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        config = ServerConfig(listen="127.0.0.1:%d" % taken.getsockname()[1],
+                              log_path=str(log), fsync=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                AnsServer(config)
+            gc.collect()
+    assert log.read_bytes() == TORN_TAIL
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_config_env_overrides(tmp_path):
     config_file = tmp_path / "server.json"
     config_file.write_text(json.dumps({
@@ -133,6 +158,20 @@ def test_config_env_overrides(tmp_path):
     assert loaded.policy_path == "/from/file.json"
     assert loaded.log_path == "/from/env.log"
     assert loaded.fsync is False
+
+
+def test_config_flag_beats_env_beats_file(tmp_path):
+    config_file = tmp_path / "server.json"
+    config_file.write_text(json.dumps({"listen": "127.0.0.1:1111", "log_path": "/file.log",
+                                       "policy_path": "/file.json", "fsync": False}))
+    loaded = ServerConfig.load(
+        str(config_file), env={"ANS_LISTEN": "127.0.0.1:2222", "ANS_LOG_PATH": "/env.log"},
+        flags={"listen": "127.0.0.1:3333", "log_path": None, "snapshot_path": "",
+               "fsync": True})
+    assert (loaded.listen, loaded.log_path, loaded.policy_path) == \
+        ("127.0.0.1:3333", "/env.log", "/file.json")
+    assert loaded.snapshot_path is None
+    assert loaded.fsync is False  # a setting without a flag is not read from the flags
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -1000,6 +1039,83 @@ def test_reply_head_fields_and_their_order(server, request_bytes, interim, statu
     assert values["Content-Type"] == content_type
     assert values["Content-Length"].isdigit()
     assert values.get("Connection", "close") == "close"
+
+
+def test_the_docstring_lists_the_routes_of_the_table():
+    listed = re.findall(r"^ +([A-Z]+) +(/\S+)", ans.server.__doc__, re.MULTILINE)
+    assert sorted(listed) == sorted(_ROUTES)
+
+
+# -- reply framing ---------------------------------------------------------------------
+
+
+def _route_request(method: str, path: str) -> bytes:
+    """A request for a route of the table, with an agent name for ``{name}``
+    and, on a route that is not a GET, ``{}`` as its body."""
+    path = path.replace("{name}", urllib.parse.quote(make_name(0).render(), safe=""))
+    body = b"" if method in ("GET", "HEAD") else b"Content-Length: 2\r\n\r\n{}"
+    return b"%s %s HTTP/1.1\r\n%s" % (method.encode(), path.encode(), body or b"\r\n")
+
+
+GET_ROUTES = sorted(path for method, path in _ROUTES if method == "GET")
+# (request bytes, the server closes after its reply) for every request shape
+# of the tables above, each route of the table, HEAD on each GET route, and
+# a method no route has.
+FRAMING_CASES = {
+    **{f"parse-{name}": (case[0], not case[2]) for name, case in PARSE_CASES.items()},
+    **{f"head-{name}": (case[0], case[4]) for name, case in HEAD_CASES.items()},
+    **{f"route-{method}-{path}": (_route_request(method, path), False)
+       for method, path in _ROUTES},
+    **{f"route-HEAD-{path}": (_route_request("HEAD", path), False) for path in GET_ROUTES},
+    "unsupported-method": (b"PUT /v1/agents HTTP/1.1\r\n\r\n", True),
+}
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def _replies(stream: bytes, methods: list[bytes]) -> list[tuple[bytes, dict, bytes]]:
+    """A connection's replies as (status line, header fields, body), read in
+    the order of the requests' ``methods``. Each body is cut at its
+    ``Content-Length`` (nothing after a HEAD), so a length that is off
+    leaves bytes where the next status line or the end must be."""
+    replies = []
+    while stream:
+        head, blank, stream = stream.removeprefix(CONTINUE).partition(b"\r\n\r\n")
+        status_line, *lines = head.split(b"\r\n")
+        assert blank and re.fullmatch(rb"HTTP/1\.1 [2-5]\d\d [A-Za-z -]+", status_line), head
+        fields = dict(line.split(b": ", 1) for line in lines)
+        length = 0 if methods[len(replies)] == b"HEAD" else int(fields[b"Content-Length"])
+        assert len(stream) >= length
+        replies.append((status_line, fields, stream[:length]))
+        stream = stream[length:]
+    return replies
+
+
+@pytest.mark.parametrize("request_bytes,closes", FRAMING_CASES.values(),
+                         ids=FRAMING_CASES.keys())
+def test_reply_framing(server, request_bytes, closes):
+    """Each request is sent with a healthz probe behind it on one connection
+    that the client then half-closes. A HEAD follows the GET of its path.
+    There is one reply per request answered, each with one status line and
+    a ``Content-Length`` equal to its body's length, or for HEAD to that of
+    the GET. A reply carries ``Connection: close`` exactly when the server
+    answers nothing after it, and a refusal is the last thing answered."""
+    requests = [request_bytes, HEALTHZ]
+    if request_bytes.startswith(b"HEAD "):
+        requests.insert(0, b"GET" + request_bytes[4:])
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"".join(requests))
+        sock.shutdown(socket.SHUT_WR)
+        stream = b"".join(iter(lambda: sock.recv(65536), b""))
+    replies = _replies(stream, [request.split(b" ", 1)[0] for request in requests])
+    assert len(replies) == len(requests) - closes
+    for index, (_, fields, _) in enumerate(replies):
+        assert (fields.get(b"Connection") == b"close") is (closes and index == len(replies) - 1)
+    if len(replies) == len(requests):
+        assert replies[-1][::2] == (b"HTTP/1.1 200 OK", b"ok")
+    if len(requests) == 3:
+        (get_line, get_fields, get_body), (line, fields, _) = replies[:2]
+        assert line == get_line and fields[b"Content-Type"] == get_fields[b"Content-Type"]
+        assert int(fields[b"Content-Length"]) == len(get_body)
 
 
 @pytest.mark.parametrize("timestamp", [0, 951782400, 1_700_000_000.9, 4_102_444_799])

@@ -39,3 +39,13 @@ def test_code_lines_counts_code_but_no_blank_comment_or_docstring(tmp_path):
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout == "9\n"
+
+
+def test_code_lines_prints_a_count_per_path_then_the_total(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text('x = 1\n\n# end\n')
+    paths = [str(tmp_path / "pkg"), str(tmp_path / "b.py")]
+    out = subprocess.run([sys.executable, str(TOOL), *paths],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == f"8 {paths[0]}\n1 {paths[1]}\n9 total\n"

@@ -1,4 +1,4 @@
-"""Count the code lines of the Python files under a directory.
+"""Count the code lines of Python files: a module, or every one under a directory.
 
 A code line holds at least one token that is not a comment, and is not part
 of a module, class or function docstring. Blank lines, comment-only lines and
@@ -6,6 +6,10 @@ docstrings do not count; every line of a multi-line statement or string
 literal does.
 
     python tools/code_lines.py src/ans
+    python tools/code_lines.py src/ans/server.py src/ans/cli.py
+
+Given one path it prints one number; given several, one ``count path`` line
+for each, then ``count total``.
 """
 
 from __future__ import annotations
@@ -37,12 +41,23 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
+def path_lines(path: pathlib.Path) -> int:
+    """The code lines of the module at ``path``, or of every module under it."""
+    files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+    return sum(code_lines(file.read_text(encoding="utf-8")) for file in files)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: code_lines.py DIRECTORY", file=sys.stderr)
+    if not argv:
+        print("usage: code_lines.py PATH...", file=sys.stderr)
         return 2
-    files = sorted(pathlib.Path(argv[0]).rglob("*.py"))
-    print(sum(code_lines(path.read_text(encoding="utf-8")) for path in files))
+    counts = [path_lines(pathlib.Path(arg)) for arg in argv]
+    if len(argv) == 1:
+        print(counts[0])
+        return 0
+    for arg, count in zip(argv, counts):
+        print(count, arg)
+    print(sum(counts), "total")
     return 0
 
 
