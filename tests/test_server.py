@@ -1053,8 +1053,8 @@ def _route_request(method: str, path: str) -> bytes:
     """A request for a route of the table, with an agent name for ``{name}``
     and, on a route that is not a GET, ``{}`` as its body."""
     path = path.replace("{name}", urllib.parse.quote(make_name(0).render(), safe=""))
-    body = b"" if method in ("GET", "HEAD") else b"Content-Length: 2\r\n\r\n{}"
-    return b"%s %s HTTP/1.1\r\n%s" % (method.encode(), path.encode(), body or b"\r\n")
+    rest = b"\r\n" if method in ("GET", "HEAD") else b"Content-Length: 2\r\n\r\n{}"
+    return b"%s %s HTTP/1.1\r\n%s" % (method.encode(), path.encode(), rest)
 
 
 GET_ROUTES = sorted(path for method, path in _ROUTES if method == "GET")
