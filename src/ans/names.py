@@ -9,6 +9,8 @@ with exactly five fields after the scheme. Field labels are DNS-label-like
 are excluded because they delimit fields. The version field starts with ``v``
 and holds two or three numeric components, so the dot-split token count is
 six (``v2.1``) or seven (``v1.2.3``) and parsing stays unambiguous.
+``parse`` is one path: it checks each field in turn, and the first field
+that fails names the error.
 
 All values here are immutable; every function is pure.
 """
@@ -31,21 +33,11 @@ from .errors import (
 PROTOCOLS = ("a2a", "mcp", "acp", "custom")
 
 MAX_LABEL_LENGTH = 63
-_NUMBER = r"(0|[1-9][0-9]*)"
 # Both are used with ``fullmatch``: ``$`` would also match before a final
-# newline, letting ``"ok\n"`` pass as a label.
+# newline, letting ``"ok\n"`` pass as a label. Numbers have no leading
+# zeros and ASCII digits only.
 _LABEL_RE = re.compile(r"[a-z0-9]([a-z0-9-]*[a-z0-9])?")
-_NUMBER_RE = re.compile(_NUMBER)
-
-# A whole well-formed name in one pattern, the per-field rules spelled out:
-# a label of at most MAX_LABEL_LENGTH characters, numbers without leading
-# zeros, ASCII digits only. ``parse`` accepts what it matches and runs the
-# per-field checks only to say why a name is rejected.
-_LABEL = r"([a-z0-9](?:[a-z0-9-]{0,%d}[a-z0-9])?)" % (MAX_LABEL_LENGTH - 2)
-_NAME_RE = re.compile(
-    r"(%s)://%s\.%s\.%s\.v%s\.%s(?:\.%s)?\.%s"
-    % ("|".join(map(re.escape, PROTOCOLS)), _LABEL, _LABEL, _LABEL, _NUMBER, _NUMBER, _NUMBER,
-       _LABEL))
+_NUMBER_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 def validate_label(value: str, field: str = "label") -> str:
@@ -65,13 +57,8 @@ def validate_label(value: str, field: str = "label") -> str:
 def _parse_number(token: str, field: str) -> int:
     if not _NUMBER_RE.fullmatch(token):
         raise AnsError(INVALID_VERSION, f"{field} component {token!r} is not a plain decimal")
-    return _number(token)
-
-
-def _number(digits: str) -> int:
-    """The value of a run of digits; one too long for ``int`` to convert is
-    INVALID_VERSION."""
-    return decode_doc("version component", int, digits, INVALID_VERSION)
+    # A number too long for ``int`` to convert is INVALID_VERSION too.
+    return decode_doc("version component", int, token, INVALID_VERSION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,22 +118,12 @@ def format_name(name: AnsName) -> str:
 
 
 def parse(text: str) -> AnsName:
-    """Parse a rendered agent name into its six components.
+    """Parse a rendered agent name into its six components, checking each
+    field in turn and raising the error of the first field that fails.
 
     Raises AnsError with code INVALID_PROTOCOL, INVALID_LABEL, INVALID_VERSION,
     or MALFORMED (wrong field count / missing scheme separator).
     """
-    match = _NAME_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        return _parse_fields(text)
-    protocol, agent_id, capability, provider, major, minor, patch, extension = match.groups()
-    version = Version(_number(major), _number(minor), None if patch is None else _number(patch))
-    return AnsName(protocol, agent_id, capability, provider, version, extension)
-
-
-def _parse_fields(text: str) -> AnsName:
-    """``parse`` by checking each field in turn, raising the error of the
-    first field that fails."""
     if not isinstance(text, str):
         raise AnsError(MALFORMED, "name must be a string")
     scheme, sep, rest = text.partition("://")

@@ -47,7 +47,7 @@ from .identity import (
     window_error,
 )
 from .metrics import Timer
-from .names import AnsName, NameQuery, compare_versions
+from .names import AnsName, NameQuery
 from .policy import EvaluationContext, PHASE_ADMISSION, PHASE_RUNTIME, PolicySubject, evaluate, explain
 
 DEFAULT_RECORD_TTL_S = 24 * 3600
@@ -132,45 +132,30 @@ class AgentRecord:
 
 
 class RecordDecoder:
-    """Decodes record documents, decoding what records share only once.
+    """Decodes record documents, decoding each issuer certificate only once.
 
-    Its table maps each distinct certificate document to one ``Certificate``.
-    Documents are bucketed by their signature text and matched by full
-    equality with the document of a certificate already decoded. The first
-    match re-encodes the certificate and keeps the document it matched, so a
-    repeated certificate (an intermediate or root that many records share)
-    is compared with ``==`` from then on, while a certificate seen once holds
-    no document. Records whose chains share an intermediate and a root
-    therefore hold the same two objects, while a document that differs in
-    any field, even under the same signature, decodes on its own. Within a
-    record, the agent certificate reuses the record's parsed name and
-    decoded commitments when its own text for them is the same. The table
-    lives as long as the decoder.
+    Its one table maps the signature text of each intermediate and root
+    certificate it has decoded to the (document, certificate) pairs decoded
+    under it, matched by document equality. Records whose chains share an
+    intermediate and a root therefore hold the same two objects, while a
+    document that differs in any field, even under the same signature,
+    decodes on its own. An agent certificate is never shared: it decodes on
+    its own, reusing the record's parsed name and decoded commitments when
+    its own text for them is the same. The table lives as long as the
+    decoder.
     """
 
     def __init__(self) -> None:
-        # signature text -> the certificates decoded under it
-        self._certificates: dict[str, list[Certificate]] = {}
-        # signature text -> (document, certificate) of those matched again
-        self._repeated: dict[str, list[tuple[dict, Certificate]]] = {}
+        # signature text -> (document, certificate) of each issuer decoded under it
+        self._issuers: dict[str, list[tuple[dict, Certificate]]] = {}
 
-    def _certificate(
-        self,
-        doc: dict,
-        subject_name: AnsName | None,
-        commitments: tuple[CapabilityCommitment, ...] | None,
-    ) -> Certificate:
-        signature = doc["signature"]
-        for known, cert in self._repeated.get(signature, ()):
+    def _issuer(self, doc: dict) -> Certificate:
+        pairs = self._issuers.setdefault(doc["signature"], [])
+        for known, cert in pairs:
             if known == doc:
                 return cert
-        bucket = self._certificates.setdefault(signature, [])
-        for cert in bucket:
-            if cert.to_doc() == doc:
-                self._repeated.setdefault(signature, []).append((doc, cert))
-                return cert
-        cert = Certificate.from_doc(doc, subject_name, commitments)
-        bucket.append(cert)
+        cert = Certificate.from_doc(doc)
+        pairs.append((doc, cert))
         return cert
 
     def record(self, doc: dict, logged: bytes | None = None) -> AgentRecord:
@@ -181,9 +166,12 @@ class RecordDecoder:
         name = names.parse(name_text)
         commitment_docs = doc["commitments"]
         commitments = tuple(CapabilityCommitment.from_doc(c) for c in commitment_docs)
+        chain_doc = doc["chain"]
 
         def certificate(cert_doc: dict) -> Certificate:
-            return self._certificate(
+            if cert_doc is not chain_doc[0]:  # the chain lists the agent first
+                return self._issuer(cert_doc)
+            return Certificate.from_doc(
                 cert_doc,
                 name if cert_doc.get("subject_name") == name_text else None,
                 commitments if cert_doc.get("capability_commitments") == commitment_docs else None,
@@ -193,7 +181,7 @@ class RecordDecoder:
             name=name,
             did=doc["did"],
             endpoint=doc["endpoint"],
-            chain=CertificateChain.from_doc(doc["chain"], certificate),
+            chain=CertificateChain.from_doc(chain_doc, certificate),
             commitments=commitments,
             namespace=doc["namespace"],
             registered_at=int(doc["registered_at"]),
@@ -408,8 +396,8 @@ class Registry:
       filled by the first resolve that needs them.
 
     In front of both sits the answer cache: query -> (since, until, records),
-    the answer ``resolve`` returned at clock ``since``, filtered, grouped for
-    ``latest`` and sorted. It is served for a clock in ``[since, until)``.
+    the answer ``resolve`` returned at clock ``since``, filtered, sorted and
+    grouped for ``latest``. It is served for a clock in ``[since, until)``.
     ``until`` is the earliest ``serve_until + 1`` of any hit (taken before
     ``latest`` drops older versions) and ``serve_from`` of any candidate not
     yet servable; no other time bound is needed, as runtime verdicts do not
@@ -695,11 +683,14 @@ class Registry:
 
     def resolve(self, query: NameQuery, now: int) -> list[AgentRecord]:
         """Active, unexpired, policy-allowed records matching the query,
-        sorted by version descending then name ascending. ``latest`` keeps
-        only the highest version per (agent_id, capability, provider,
-        extension) group. A repeated query is answered from the answer cache
-        while no write intervenes and the clock stays inside the answer's
-        window; each call returns a fresh list."""
+        sorted by version descending then name ascending: the hits are sorted
+        once by key (the rendered name), then stably by version. ``latest``
+        keeps, in each (agent_id, capability, provider, extension) group,
+        the hits whose version equals that of the group's first, so ``v1.2``
+        and ``v1.2.0`` both stay when they are the highest. A repeated query
+        is answered from the answer cache while no write intervenes and the
+        clock stays inside the answer's window; each call returns a fresh
+        list."""
         with self._lock:
             cached = self._answers.get(query)
             if cached is not None and cached[0] <= now < cached[1]:
@@ -722,23 +713,15 @@ class Registry:
                             until = r.serve_until + 1
                 elif r.status == STATUS_ACTIVE and now < r.serve_from < until:
                     until = r.serve_from
-        if query.version_req is not None and query.version_req.kind == names.LATEST:
-            best: dict[tuple, names.Version] = {}
-            for _, record in hits:
-                group = (record.name.agent_id, record.name.capability,
-                         record.name.provider, record.name.extension)
-                current = best.get(group)
-                if current is None or compare_versions(record.name.version, current) > 0:
-                    best[group] = record.name.version
-            hits = [
-                (k, r) for k, r in hits
-                if compare_versions(
-                    r.name.version,
-                    best[(r.name.agent_id, r.name.capability, r.name.provider, r.name.extension)],
-                ) == 0
-            ]
-        hits.sort(key=lambda kr: (tuple(-v for v in kr[1].name.version.sort_key()), kr[0]))
+        hits.sort(key=lambda kr: kr[0])
+        hits.sort(key=lambda kr: kr[1].name.version.sort_key(), reverse=True)
         records = [r for _, r in hits]
+        if query.version_req is not None and query.version_req.kind == names.LATEST:
+            # group -> the version of its first, and so highest, hit
+            top: dict[tuple, tuple[int, int, int]] = {}
+            records = [r for r in records if r.name.version.sort_key() == top.setdefault(
+                (r.name.agent_id, r.name.capability, r.name.provider, r.name.extension),
+                r.name.version.sort_key())]
         with self._lock:
             if self._writes == writes:
                 self._cache_answer(query, now, until, tuple(records))
@@ -860,8 +843,9 @@ class Registry:
         log for appends. Raises LOG_CORRUPT on gaps or parse failures.
 
         Each event is applied as it is read. The snapshot and the log share
-        one ``RecordDecoder``, whose table decodes each distinct certificate
-        document once. A torn final line (no newline) is skipped, then cut
+        one ``RecordDecoder``, whose issuer table decodes each distinct
+        intermediate and root document once, so recovered records share
+        their issuer objects; each agent certificate decodes on its own. A torn final line (no newline) is skipped, then cut
         off the file when the log is reopened for appends, so recovery yields
         the state of the last whole event.
 

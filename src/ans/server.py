@@ -28,9 +28,10 @@ in turn until one closes the connection, no idle timeout. It keeps
 which the registry never uses. HTTP/0.9 is refused: a request line without a
 version gets a 400 with a status line. Every request, whether the parser
 refuses it, a route answers it, no route matches it or its operation fails,
-is answered by ``_Handler._send``; each reply still goes out as two writes,
-the head and then the body, a framing kept on purpose until ROADMAP item 1
-changes it.
+is answered by ``_Handler._send``, unless its connection fails while it is
+read: that connection ends with no reply. Each reply still goes out as two
+writes, the head and then the body, a framing kept on purpose until ROADMAP
+item 1 changes it.
 """
 
 from __future__ import annotations
@@ -361,6 +362,12 @@ class _Refusal(Exception):
     unread, so the connection closes."""
 
 
+class _Hangup(ConnectionError):
+    """The client's connection failed while its request was being read. The
+    connection ends with no reply and no traceback, as ``Listener`` ends one
+    on any other ``OSError``."""
+
+
 class _Handler:
     """One connection: requests in turn until one of them closes it. The
     socket has no timeout, so a client may keep it idle between requests."""
@@ -469,7 +476,10 @@ class _Handler:
             self.close_connection = True
             raise AnsError(codes.MALFORMED,
                            f"Content-Length must be a byte count of at most {MAX_BODY_BYTES}")
-        raw = self.rfile.read(int(length[1]))
+        try:
+            raw = self.rfile.read(int(length[1]))
+        except OSError as exc:
+            raise _Hangup() from exc
         if not raw:
             raise AnsError(codes.MALFORMED, "empty request body")
         body = decode_doc("request body", json.loads, raw)
@@ -516,6 +526,8 @@ class _Handler:
         except AnsError as exc:
             status, content_type = STATUS_BY_CODE[exc.code], _JSON
             body = canonical_bytes(exc.to_doc())
+        except _Hangup:
+            raise
         except Exception:
             # A fault of the server: its text stays in the server's stderr.
             import traceback  # only a failing request pays for the import

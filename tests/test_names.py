@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 
@@ -206,7 +207,30 @@ def test_query_params_reject_unknown_names():
     assert "colour" in err.value.message
 
 
-# -- one pattern for well-formed names, per-field checks for the reason -----------------
+# -- the field checks against a reference grammar ---------------------------------------
+
+# The whole grammar of a well-formed name as one pattern, the per-field rules
+# spelled out: a label of at most 63 characters, numbers without leading
+# zeros, ASCII digits only. ``parse`` checks field by field; these tests hold
+# it to this pattern.
+_LABEL = r"([a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?)"
+_NUMBER = r"(0|[1-9][0-9]*)"
+NAME_GRAMMAR = re.compile(
+    r"(%s)://%s\.%s\.%s\.v%s\.%s(?:\.%s)?\.%s"
+    % ("|".join(map(re.escape, names.PROTOCOLS)), _LABEL, _LABEL, _LABEL, _NUMBER, _NUMBER,
+       _NUMBER, _LABEL))
+PARSE_CODES = {"INVALID_PROTOCOL", "INVALID_LABEL", "INVALID_VERSION", "MALFORMED"}
+
+
+def _grammar_name(text):
+    """The name the reference grammar reads in ``text``, or None."""
+    match = NAME_GRAMMAR.fullmatch(text)
+    if match is None:
+        return None
+    protocol, agent_id, capability, provider, major, minor, patch, extension = match.groups()
+    version = Version(int(major), int(minor), None if patch is None else int(patch))
+    return AnsName(protocol, agent_id, capability, provider, version, extension)
+
 
 # Fragments near every edge of the grammar: case, label length 63 / 64,
 # hyphen placement, leading zeros, non-ASCII digits, newlines, dots.
@@ -248,18 +272,24 @@ def _outcome(parse_text, text):
         return exc.code
 
 
+def _assert_parse_agrees_with_the_grammar(text):
+    outcome = _outcome(parse, text)
+    expected = _grammar_name(text)
+    if expected is None:
+        assert outcome in PARSE_CODES, text
+    else:
+        assert outcome == expected, text
+        assert outcome.render() == text
+
+
 @settings(max_examples=1000, deadline=None)
 @given(text=name_texts())
 def test_single_pattern_agrees_with_the_field_checks(text):
-    """The one compiled pattern accepts exactly what the per-field checks
-    accept, ``parse`` returns what they return (or raises their code), and
-    every accepted text renders back to itself, so no two texts alias one
-    name."""
-    fields = _outcome(names._parse_fields, text)
-    assert (names._NAME_RE.fullmatch(text) is not None) == isinstance(fields, AnsName), text
-    assert _outcome(parse, text) == fields
-    if isinstance(fields, AnsName):
-        assert fields.render() == text
+    """``parse`` accepts exactly what the reference grammar accepts, returns
+    the name the grammar reads, rejects everything else with a parse code,
+    and every accepted text renders back to itself, so no two texts alias
+    one name."""
+    _assert_parse_agrees_with_the_grammar(text)
 
 
 def test_single_pattern_agrees_on_every_one_fragment_edit():
@@ -269,11 +299,8 @@ def test_single_pattern_agrees_on_every_one_fragment_edit():
         for i in range(len(base)):
             for fragment in FRAGMENTS:
                 for protocol in PROTOCOL_TEXTS:
-                    text = protocol + "://" + ".".join(base[:i] + (fragment,) + base[i + 1:])
-                    fields = _outcome(names._parse_fields, text)
-                    accepted = names._NAME_RE.fullmatch(text) is not None
-                    assert accepted == isinstance(fields, AnsName), text
-                    assert _outcome(parse, text) == fields
+                    _assert_parse_agrees_with_the_grammar(
+                        protocol + "://" + ".".join(base[:i] + (fragment,) + base[i + 1:]))
 
 
 LABELS = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?", fullmatch=True)
@@ -286,8 +313,7 @@ NUMBERS = st.integers(0, 10**9).map(str)
 def test_accepted_names_render_as_their_text(protocol, labels, numbers):
     agent_id, capability, provider, extension = labels
     text = f"{protocol}://{agent_id}.{capability}.{provider}.v{'.'.join(numbers)}.{extension}"
-    assert names._NAME_RE.fullmatch(text) is not None
-    assert parse(text) == names._parse_fields(text)
+    assert parse(text) == _grammar_name(text)
     assert parse(text).render() == text
 
 
@@ -299,10 +325,10 @@ def test_accepted_names_render_as_their_text(protocol, labels, numbers):
     "a2a://x.cap.prov.v1.0.prod\n",
 ])
 def test_newline_before_a_field_end_is_rejected(text):
-    with pytest.raises(AnsError):
+    assert NAME_GRAMMAR.fullmatch(text) is None
+    with pytest.raises(AnsError) as err:
         parse(text)
-    with pytest.raises(AnsError):
-        names._parse_fields(text)
+    assert err.value.code in PARSE_CODES
 
 
 def test_newline_labels_and_versions_are_rejected():
@@ -323,16 +349,22 @@ def test_newline_labels_and_versions_are_rejected():
 LONG_NUMBER = "9" * 5_000
 
 
+def _parse_grammatical(text):
+    """``parse`` of a text that the reference grammar accepts."""
+    assert NAME_GRAMMAR.fullmatch(text) is not None
+    return parse(text)
+
+
 @pytest.mark.parametrize("read,text", [
     (parse, f"a2a://x.cap.prov.v{LONG_NUMBER}.0.prod"),
     (parse, f"a2a://x.cap.prov.v1.{LONG_NUMBER}.prod"),
     (parse, f"a2a://x.cap.prov.v1.0.{LONG_NUMBER}.prod"),
-    (names._parse_fields, f"a2a://x.cap.prov.v{LONG_NUMBER}.0.prod"),
+    (_parse_grammatical, f"a2a://x.cap.prov.v{LONG_NUMBER}.0.prod"),
     (Version.parse, f"{LONG_NUMBER}.0"),
     (Version.parse, f"1.0.{LONG_NUMBER}"),
     (VersionRequirement.parse, f"{LONG_NUMBER}.0"),
     (VersionRequirement.parse, f">=1.{LONG_NUMBER}"),
-], ids=["parse-major", "parse-minor", "parse-patch", "fields-major", "version-major",
+], ids=["parse-major", "parse-minor", "parse-patch", "grammar-major", "version-major",
         "version-patch", "requirement-exact", "requirement-at-least"])
 def test_version_number_too_long_to_convert_is_invalid_version(read, text):
     with pytest.raises(AnsError) as err:

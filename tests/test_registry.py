@@ -285,6 +285,33 @@ def test_resolve_orders_by_version_desc_then_name(registry, ca):
     assert keys == sorted(keys, key=lambda kv: (tuple(-x for x in kv[0]), kv[1]))
 
 
+LATEST = VersionRequirement.latest()
+
+
+@pytest.mark.parametrize("agents,latest", [
+    # one group holding v1.2 and v1.2.0, which order as equal: both stay, in name order
+    ([("a2a", "twin", Version(1, 2)), ("a2a", "twin", Version(1, 2, 0)),
+      ("a2a", "twin", Version(1, 1, 9))],
+     ["a2a://twin.cap-order.prov-0.v1.2.0.prod", "a2a://twin.cap-order.prov-0.v1.2.prod"]),
+    # v1.10 is newer than v1.9, although its text sorts first
+    ([("a2a", "tens", Version(1, 9)), ("a2a", "tens", Version(1, 10))],
+     ["a2a://tens.cap-order.prov-0.v1.10.prod"]),
+    # one agent under several protocols is one group
+    ([("a2a", "both", Version(1, 0)), ("mcp", "both", Version(2, 0)),
+      ("mcp", "both", Version(1, 0)), ("acp", "both", Version(2, 0, 0))],
+     ["acp://both.cap-order.prov-0.v2.0.0.prod", "mcp://both.cap-order.prov-0.v2.0.prod"]),
+], ids=["two-and-three-parts", "ten-after-nine", "protocols"])
+def test_latest_where_version_text_and_order_differ(registry, ca, agents, latest):
+    for protocol, agent_id, version in agents:
+        register(registry, ca, names.AnsName(protocol, agent_id, "cap-order", "prov-0",
+                                             version, "prod"))
+    for req in (None, LATEST):
+        query = NameQuery(capability="cap-order", version_req=req)
+        assert registry.resolve(query, NOW) == _oracle_resolve(registry, query, NOW)
+    query = NameQuery(capability="cap-order", version_req=LATEST)
+    assert [r.name.render() for r in registry.resolve(query, NOW)] == latest
+
+
 def _oracle_resolve(registry, query, now):
     """Independent linear scan using only public contracts."""
     out = []
@@ -1306,17 +1333,26 @@ def test_snapshot_records_encode_on_first_use(tmp_path, allow_policies, ca):
         assert record.doc_bytes == canonical_bytes(record.to_doc())
 
 
-def test_decoder_keeps_documents_only_of_repeated_certificates(registry, ca):
-    """The decoder holds a certificate's document once it has matched it a
-    second time, and a same-signature document that differs in a field still
-    decodes on its own after that."""
+def test_decoder_holds_exactly_the_distinct_issuer_documents(registry, ca):
+    """After any number of records the decoder's one table holds each
+    distinct intermediate and root document once, with the certificate its
+    records share, and no agent document; a same-signature document that
+    differs in a field still decodes on its own."""
     docs = _record_docs(registry, ca, 4)
     decoder = RecordDecoder()
+
+    def held():
+        return sorted(((canonical_json(doc), id(cert))
+                       for pairs in decoder._issuers.values() for doc, cert in pairs))
+
     first = decoder.record(docs[0]).chain
-    assert decoder._repeated == {}
-    assert decoder.record(docs[1]).chain.intermediate is first.intermediate
-    held = [cert for bucket in decoder._repeated.values() for _, cert in bucket]
-    assert sorted(map(id, held)) == sorted(map(id, (first.intermediate, first.root)))
+    issuers = sorted([(canonical_json(docs[0]["chain"][1]), id(first.intermediate)),
+                      (canonical_json(docs[0]["chain"][2]), id(first.root))])
+    assert held() == issuers
+    for doc in docs[1:]:
+        chain = decoder.record(doc).chain
+        assert chain.intermediate is first.intermediate and chain.root is first.root
+        assert held() == issuers
 
     tampered = copy.deepcopy(docs[2])
     tampered["chain"][1]["serial"] += 1  # same signature text, different document
@@ -1326,6 +1362,9 @@ def test_decoder_keeps_documents_only_of_repeated_certificates(registry, ca):
     assert record.chain.root is first.root
     assert decoder.record(docs[3]).chain.intermediate is first.intermediate
     assert decoder.record(tampered).chain.intermediate is record.chain.intermediate
+    assert held() == sorted(issuers + [(canonical_json(tampered["chain"][1]),
+                                        id(record.chain.intermediate))])
+    assert all(json.loads(doc)["role"] != ROLE_AGENT for doc, _ in held())
 
 
 # -- wire registrations share issuers --------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import email.utils
+import errno
 import gc
 import http.client
 import json
@@ -30,7 +31,7 @@ from ans.policy import policies_to_doc
 from ans.identity import ROLE_AGENT, issue_certificate
 from ans.registry import AgentRecord, renewal_payload, revocation_payload
 from ans.server import (
-    _ROUTES, STATUS_BY_CODE, AnsServer, ServerConfig, _http_date, load_anchors,
+    _ROUTES, STATUS_BY_CODE, AnsServer, ServerConfig, _Handler, _http_date, load_anchors,
     query_from_params,
 )
 from conftest import NOW, make_identity, make_name
@@ -988,6 +989,45 @@ def test_clients_that_reset_mid_reply_leave_stderr_empty(server, capfd):
     assert threading.active_count() <= threads_before
     assert _get(server, "/v1/healthz") == (200, "ok")
     assert capfd.readouterr().err == ""
+
+
+def test_client_reset_during_a_body_read_gets_no_reply_and_no_traceback(server, capfd,
+                                                                         monkeypatch):
+    """A client that resets while its request body is being read ends its
+    connection with no reply written to the dead socket and no traceback."""
+    reading, replies = threading.Event(), []
+    read_body, send = _Handler.read_body, _Handler._send
+    monkeypatch.setattr(_Handler, "read_body", lambda self: reading.set() or read_body(self))
+    monkeypatch.setattr(_Handler, "_send",
+                        lambda self, *reply: replies.append(reply[0]) or send(self, *reply))
+    threads_before = threading.active_count()
+    sock = socket.create_connection(server.address, timeout=5)
+    sock.sendall(b'POST /v1/challenge HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"na')
+    assert reading.wait(5)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > threads_before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= threads_before
+    assert replies == []
+    assert capfd.readouterr().err == ""
+
+
+def test_an_os_error_of_the_operation_still_answers_500(server, ca, capfd, monkeypatch):
+    """An ``OSError`` the operation raises, here a full disk under the event
+    log, is a fault of the server: 500 INTERNAL and a traceback on stderr."""
+    def full(line):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(server.registry._log, "append_line", full)
+    identity = make_identity(ca, make_name(0))
+    status, body = _raw_post(server, "/v1/agents",
+                             build_registration_request(identity, "ns-0").to_doc())
+    assert status == 500
+    assert json.loads(body) == {"error": "INTERNAL", "message": "Internal Server Error"}
+    stderr = capfd.readouterr().err
+    assert "Traceback" in stderr and "No space left on device" in stderr
 
 
 # -- reply head -----------------------------------------------------------------------
