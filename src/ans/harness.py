@@ -41,7 +41,7 @@ from .manifest import manifest_for_name
 from .metrics import HistogramStats, Metrics
 from .names import AnsName, NameQuery, Version
 from .policy import Policy, PolicyRule, RuleConditions, RuleMatch, policies_to_doc
-from .registry import Registry
+from .registry import EventLog, Registry
 from .server import AnsServer, ServerConfig
 
 # p99 ceilings per operation, milliseconds.
@@ -801,9 +801,7 @@ def run_demo(config: BenchConfig = BenchConfig(n_agents=50, n_namespaces=5, seed
         after = _resolve_sweep(url, registry_client)
         rollback_ok = before == after
 
-        from .registry import EventLog
-
-        event_kinds = [e.kind for e in EventLog.read_events(harness_server.log_path)]
+        event_kinds = [e.kind for _, e, _ in EventLog.read_numbered(harness_server.log_path)]
         return DemoReport(
             agents=config.n_agents,
             succeeded=succeeded,

@@ -307,13 +307,6 @@ class EventLog:
         self._fh.close()
 
     @staticmethod
-    def read_events(path: str, after_seq: int = 0) -> Iterator[RegistryEvent]:
-        """Yield events with seq > after_seq as they are read, enforcing dense
-        ordering (see ``read_numbered``)."""
-        for _, event, _ in EventLog.read_numbered(path, after_seq):
-            yield event
-
-    @staticmethod
     def read_numbered(
         path: str, after_seq: int = 0,
     ) -> Iterator[tuple[int, RegistryEvent, bytes | None]]:
@@ -377,22 +370,23 @@ def _ignore(operation: str, latency_ms: float) -> None:
 class Registry:
     """In-memory registry state plus the write-ahead event log.
 
-    Writers (register / renew / revoke) serialize on one lock and append an
-    event before the in-memory state changes; readers take the same lock
-    briefly, so they always observe a consistent post-event state.
+    Every operation takes one plain lock once and does all its work on the
+    state under that one hold. Writers (register / renew / revoke) append an
+    event before the in-memory state changes, so readers always observe a
+    consistent post-event state. ``_store`` is the only code that changes a
+    key's record: it puts or removes the record and keeps its postings, its
+    runtime verdict and the answer cache in step.
 
-    Resolution reads two structures kept beside the records, both under the
-    lock:
+    Resolution reads two structures kept beside the records:
 
     - Posting lists: for each name field in ``INDEXED_FIELDS``, a map from
       field value to the keys of the non-revoked records with that value. A
       query reads the smallest list among the fields it sets and scans every
       record only when it sets none. Every candidate is still checked for
       visibility, the query and runtime policy, so expiry stays lazy.
-    - Runtime verdicts: record key -> (record, allowed). A runtime verdict
-      depends only on the record and the policy set, never on the clock. An
-      entry counts only while its record ``is`` the stored one; any write to
-      the key drops it, ``set_policies`` clears them all, and entries are
+    - Runtime verdicts: record key -> allowed. A runtime verdict depends only
+      on the record and the policy set, never on the clock. ``_store`` drops
+      the key's entry, ``set_policies`` clears them all, and entries are
       filled by the first resolve that needs them.
 
     In front of both sits the answer cache: query -> (since, until, records),
@@ -401,13 +395,12 @@ class Registry:
     ``until`` is the earliest ``serve_until + 1`` of any hit (taken before
     ``latest`` drops older versions) and ``serve_from`` of any candidate not
     yet servable; no other time bound is needed, as runtime verdicts do not
-    depend on the clock. Every ``_store`` (register, renew, revoke, replay,
-    snapshot load), ``set_policies`` and a ``sweep_expired`` that removes a
-    record drop the whole cache and bump a write counter; an answer is stored
-    only if the counter has not moved since its candidate walk began, so an
-    answer computed before a write is never stored after it. The cache holds
-    at most ``ANSWER_CACHE_REFS`` references, counting ``ANSWER_ENTRY_REFS``
-    more for each answer, and evicts its oldest answers first.
+    depend on the clock. Every ``_store`` (register, renew, revoke, sweep,
+    replay, snapshot load) and ``set_policies`` drop the whole cache. An
+    answer is computed and stored under the same hold as its candidate walk,
+    so no write lands between the two. The cache holds at most
+    ``ANSWER_CACHE_REFS`` references, counting ``ANSWER_ENTRY_REFS`` more for
+    each answer, and evicts its oldest answers first.
 
     ``verified`` is the ``validate_chain`` memo for register and attest: the
     certificates whose signatures this process has verified. Its values are
@@ -435,14 +428,13 @@ class Registry:
         # blocks: the chain_validation and policy_eval histograms, never
         # whole endpoint bodies mislabeled as core operations.
         self._observe = observe
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._records: dict[str, AgentRecord] = {}
         self._postings: dict[str, dict[str, set[str]]] = {f: {} for f in INDEXED_FIELDS}
-        self._verdicts: dict[str, tuple[AgentRecord, bool]] = {}
+        self._verdicts: dict[str, bool] = {}
         self._answers: OrderedDict[NameQuery, tuple[int, float, tuple[AgentRecord, ...]]] = \
             OrderedDict()
         self._answer_refs = 0
-        self._writes = 0
         self.verified: weakref.WeakValueDictionary[tuple[bytes, bytes], Certificate] = \
             weakref.WeakValueDictionary()
         self.last_seq = 0
@@ -481,23 +473,26 @@ class Registry:
         """Forget every cached answer after a write; callers hold the lock."""
         self._answers.clear()
         self._answer_refs = 0
-        self._writes += 1
 
-    def _store(self, key: str, record: AgentRecord) -> None:
-        """Put a record under its key, keeping the posting lists (which hold
-        only non-revoked records), the verdict memo and the answer cache in
-        step. Every record under one key has the same name, so only a status
-        change moves it."""
+    def _store(self, key: str, record: AgentRecord | None) -> None:
+        """Put a record under its key, or remove the key's record when
+        ``record`` is None, keeping the posting lists (which hold only
+        non-revoked records), the verdict memo and the answer cache in step.
+        Every record under one key has the same name, so only a status change
+        or a removal moves it."""
         self._drop_answers()
+        self._verdicts.pop(key, None)
         existing = self._records.get(key)
         was_listed = existing is not None and existing.status == STATUS_ACTIVE
-        listed = record.status == STATUS_ACTIVE
+        listed = record is not None and record.status == STATUS_ACTIVE
         if was_listed and not listed:
-            self._index_remove(key, record.name)
+            self._index_remove(key, existing.name)
         elif listed and not was_listed:
             self._index_add(key, record.name)
-        self._records[key] = record
-        self._verdicts.pop(key, None)
+        if record is None:
+            del self._records[key]
+        else:
+            self._records[key] = record
 
     def _append(self, kind: str, payload: bytes, at: int) -> None:
         """Log an event whose payload is given as canonical bytes. Keys in
@@ -547,22 +542,7 @@ class Registry:
         with Timer(self._observe, "chain_validation"):
             validation = validate_chain(request.chain, self.trust_anchors, now, self.verified)
         validation.raise_if_invalid()
-        return self._admit(parsed, request, now)
 
-    def _memo_chain(self, chain: CertificateChain) -> CertificateChain:
-        """A chain that ``validate_chain`` passed, made of the verified
-        memo's objects: each certificate is swapped for the field-equal one
-        its entry holds, or becomes the entry if it has none. The record that
-        keeps the chain then keeps its entries alive, and records registered
-        over the wire share one object per issuer, as recovered ones do."""
-        certs = []
-        for cert, issuer in chain.links():
-            known = self.verified.setdefault((issuer.public_key, cert.signature), cert)
-            certs.append(known if known is cert or known == cert else cert)
-        return CertificateChain(*certs)
-
-    def _admit(self, parsed: AnsName, request: RegistrationRequest, now: int) -> AgentRecord:
-        """Everything ``register`` checks after the chain, then the write."""
         agent_cert = request.chain.agent
         if not verify_signature(
             agent_cert.public_key, request.signature, canonical_bytes(request.signing_payload())
@@ -614,6 +594,18 @@ class Registry:
             self._append(EVENT_REGISTERED, payload, now)
             self._store(key, record)
         return record
+
+    def _memo_chain(self, chain: CertificateChain) -> CertificateChain:
+        """A chain that ``validate_chain`` passed, made of the verified
+        memo's objects: each certificate is swapped for the field-equal one
+        its entry holds, or becomes the entry if it has none. The record that
+        keeps the chain then keeps its entries alive, and records registered
+        over the wire share one object per issuer, as recovered ones do."""
+        certs = []
+        for cert, issuer in chain.links():
+            known = self.verified.setdefault((issuer.public_key, cert.signature), cert)
+            certs.append(known if known is cert or known == cert else cert)
+        return CertificateChain(*certs)
 
     def _lookup(self, name_text: str) -> AgentRecord:
         record = self._records.get(name_text)
@@ -672,13 +664,12 @@ class Registry:
     def _runtime_allowed(self, key: str, record: AgentRecord, now: int) -> bool:
         """Runtime policy verdict for the record stored under ``key``,
         memoized; callers hold the lock."""
-        memo = self._verdicts.get(key)
-        if memo is not None and memo[0] is record:
-            return memo[1]
-        ctx = EvaluationContext(self._subject_from_record(record), PHASE_RUNTIME, now)
-        with Timer(self._observe, "policy_eval"):
-            allowed = evaluate(ctx, self._policies).allowed
-        self._verdicts[key] = (record, allowed)
+        allowed = self._verdicts.get(key)
+        if allowed is None:
+            ctx = EvaluationContext(self._subject_from_record(record), PHASE_RUNTIME, now)
+            with Timer(self._observe, "policy_eval"):
+                allowed = evaluate(ctx, self._policies).allowed
+            self._verdicts[key] = allowed
         return allowed
 
     def resolve(self, query: NameQuery, now: int) -> list[AgentRecord]:
@@ -687,15 +678,15 @@ class Registry:
         once by key (the rendered name), then stably by version. ``latest``
         keeps, in each (agent_id, capability, provider, extension) group,
         the hits whose version equals that of the group's first, so ``v1.2``
-        and ``v1.2.0`` both stay when they are the highest. A repeated query
-        is answered from the answer cache while no write intervenes and the
-        clock stays inside the answer's window; each call returns a fresh
-        list."""
+        and ``v1.2.0`` both stay when they are the highest. The walk, the
+        sort, the grouping and the caching of the answer happen under one
+        hold of the lock. A repeated query is answered from the answer cache
+        while no write intervenes and the clock stays inside the answer's
+        window; each call returns a fresh list."""
         with self._lock:
             cached = self._answers.get(query)
             if cached is not None and cached[0] <= now < cached[1]:
                 return list(cached[2])
-            writes = self._writes
             lists = [self._postings[field].get(value, ())
                      for field in INDEXED_FIELDS
                      if (value := getattr(query, field)) is not None]
@@ -713,18 +704,16 @@ class Registry:
                             until = r.serve_until + 1
                 elif r.status == STATUS_ACTIVE and now < r.serve_from < until:
                     until = r.serve_from
-        hits.sort(key=lambda kr: kr[0])
-        hits.sort(key=lambda kr: kr[1].name.version.sort_key(), reverse=True)
-        records = [r for _, r in hits]
-        if query.version_req is not None and query.version_req.kind == names.LATEST:
-            # group -> the version of its first, and so highest, hit
-            top: dict[tuple, tuple[int, int, int]] = {}
-            records = [r for r in records if r.name.version.sort_key() == top.setdefault(
-                (r.name.agent_id, r.name.capability, r.name.provider, r.name.extension),
-                r.name.version.sort_key())]
-        with self._lock:
-            if self._writes == writes:
-                self._cache_answer(query, now, until, tuple(records))
+            hits.sort(key=lambda kr: kr[0])
+            hits.sort(key=lambda kr: kr[1].name.version.sort_key(), reverse=True)
+            records = [r for _, r in hits]
+            if query.version_req is not None and query.version_req.kind == names.LATEST:
+                # group -> the version of its first, and so highest, hit
+                top: dict[tuple, tuple[int, int, int]] = {}
+                records = [r for r in records if r.name.version.sort_key() == top.setdefault(
+                    (r.name.agent_id, r.name.capability, r.name.provider, r.name.extension),
+                    r.name.version.sort_key())]
+            self._cache_answer(query, now, until, tuple(records))
         return records
 
     def _cache_answer(self, query: NameQuery, since: int, until: float,
@@ -744,19 +733,14 @@ class Registry:
         self._answer_refs += refs
 
     def sweep_expired(self, now: int) -> int:
-        """Drop expired records from memory. Resolution already excludes them
-        lazily; this only reclaims space, so it appends no event."""
-        removed = 0
+        """Drop expired records from memory, each through ``_store``, under
+        one hold of the lock. Resolution already excludes them lazily; this
+        only reclaims space, so it appends no event."""
         with self._lock:
-            for key in [k for k, r in self._records.items() if now > r.expires_at]:
-                record = self._records.pop(key)
-                if record.status == STATUS_ACTIVE:
-                    self._index_remove(key, record.name)
-                self._verdicts.pop(key, None)
-                removed += 1
-            if removed:
-                self._drop_answers()
-        return removed
+            expired = [k for k, r in self._records.items() if now > r.expires_at]
+            for key in expired:
+                self._store(key, None)
+        return len(expired)
 
     def get_active(self, name_text: str, now: int) -> AgentRecord | None:
         with self._lock:
@@ -845,9 +829,11 @@ class Registry:
         Each event is applied as it is read. The snapshot and the log share
         one ``RecordDecoder``, whose issuer table decodes each distinct
         intermediate and root document once, so recovered records share
-        their issuer objects; each agent certificate decodes on its own. A torn final line (no newline) is skipped, then cut
-        off the file when the log is reopened for appends, so recovery yields
-        the state of the last whole event.
+        their issuer objects; each agent certificate decodes on its own.
+
+        A torn final line (no newline) is skipped, then cut off the file when
+        the log is reopened for appends, so recovery yields the state of the
+        last whole event.
 
         Recovery trusts the log: it verifies no signatures, and it serves the
         bytes it logged verbatim. A record from a ``Registered`` line in the

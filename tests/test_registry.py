@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 import gc
 import json
 import os
+import pathlib
 import random
 import sys
 import tempfile
@@ -41,6 +43,7 @@ from ans.policy import (
 from ans.registry import (
     EVENT_REGISTERED,
     EVENT_RENEWED,
+    STATUS_ACTIVE,
     STATUS_REVOKED,
     EventLog,
     RecordDecoder,
@@ -842,7 +845,7 @@ def test_torn_tail_is_not_read_as_an_event(tmp_path, allow_policies, ca):
     torn = whole.rstrip(b"\n").replace(b'"seq":1', b'"seq":2')  # complete, unterminated
     with open(log_path, "ab") as fh:
         fh.write(torn)
-    assert [e.seq for e in EventLog.read_events(str(log_path))] == [1]
+    assert [e.seq for _, e, _ in EventLog.read_numbered(str(log_path))] == [1]
     assert log_path.read_bytes() == whole + torn  # reading alone never cuts the file
 
 
@@ -1512,23 +1515,31 @@ def test_answer_cache_serves_only_inside_its_window(ca, allow_policies, matches_
 
 
 def test_answer_computed_across_a_write_is_not_cached(registry, ca, monkeypatch):
-    """A revoke that lands while a resolve walks its candidates drops the
-    cache, and the walk's answer is not stored after it."""
+    """A revoke started while a resolve walks its candidates waits for the
+    walk, whose answer is cached under the same hold of the lock; the revoke
+    then drops it, so the next resolve answers afresh."""
     identities = [register(registry, ca, make_name(i, capability="cap-race"))[0]
                   for i in range(4)]
     victim = identities[0].name.render()
     query = NameQuery(capability="cap-race")
     real = names.matches
+    sig = identities[0].identity_keys.sign(canonical_bytes(revocation_payload(victim, NOW)))
+    revoker = threading.Thread(target=registry.revoke, args=(victim, NOW, sig, NOW))
 
     def revoking(name, q):
         monkeypatch.setattr(names, "matches", real)
-        sig = identities[0].identity_keys.sign(canonical_bytes(revocation_payload(victim, NOW)))
-        registry.revoke(victim, NOW, sig, NOW)
+        revoker.start()
+        revoker.join(timeout=0.2)
+        assert revoker.is_alive()  # blocked on the lock the walk holds
+        assert registry._records[victim].status == STATUS_ACTIVE
         return real(name, q)
 
     monkeypatch.setattr(names, "matches", revoking)
-    registry.resolve(query, NOW)  # ordered before the revoke; may still list the victim
+    first = registry.resolve(query, NOW)  # ordered before the revoke
     assert names.matches is real
+    revoker.join(timeout=10)
+    assert not revoker.is_alive()
+    assert victim in [r.name.render() for r in first] and len(first) == 4
     answer = registry.resolve(query, NOW)
     assert answer == _oracle_resolve(registry, query, NOW)
     assert victim not in [r.name.render() for r in answer] and len(answer) == 3
@@ -1581,3 +1592,45 @@ def test_answer_cache_holds_at_most_its_reference_cap(registry, ca, monkeypatch)
     assert NameQuery(agent_id=f"flood-{3 * entries - 1}") not in registry._answers
     assert NameQuery(agent_id=f"flood-{3 * entries}") in registry._answers
     assert held < 1 << 20, held
+
+
+# -- one state-change path ---------------------------------------------------------------
+
+_RECORDS_WRITES = {"pop", "popitem", "clear", "setdefault", "update"}
+
+
+def _is_self_records(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "_records"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _state_changes_outside_store(path: pathlib.Path):
+    """(line, what) for each change of ``self._records`` and each call of
+    ``_index_add``/``_index_remove`` in ``path`` outside ``Registry._store``,
+    and for each mention of ``RLock``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == "_store"
+              for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "RLock"
+                or isinstance(node, ast.Attribute) and node.attr == "RLock"
+                or isinstance(node, ast.alias) and node.name == "RLock"):
+            yield node.lineno, "names RLock"
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_self_records(node.value)):
+            yield node.lineno, "assigns or deletes an item of self._records"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _RECORDS_WRITES and _is_self_records(node.func.value):
+                yield node.lineno, f"calls self._records.{node.func.attr}"
+            if node.func.attr in ("_index_add", "_index_remove"):
+                yield node.lineno, f"calls {node.func.attr}"
+
+
+def test_records_change_only_through_store():
+    """``Registry._store`` is the only code that changes a key's record or
+    its postings, and the registry's one lock is a plain ``Lock``: no
+    operation re-enters it."""
+    assert list(_state_changes_outside_store(pathlib.Path(registry_module.__file__))) == []
